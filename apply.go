@@ -10,25 +10,28 @@ import (
 	"connquery/internal/wal"
 )
 
-// Batched commit. DB.Apply takes one tick's worth of mutations and commits
-// them as a single publish: the touched R*-trees are copy-on-write cloned
-// once for the whole batch (not once per member), the durable tier appends
-// the batch's WAL records in one write (one fsync under strict or sync-ack
-// durability), the answer cache is invalidated once against the batch's
-// union change boxes, and exactly one MVCC version — at epoch base+k for k
-// applied primitives — becomes visible. The intermediate epochs base+1 ..
-// base+k-1 exist only as WAL records (recovery replays them one by one);
-// they are never published and never pinnable.
+// The write path. Every successor version in this package is built and
+// published here: DB.Apply takes one tick's worth of mutations and commits
+// them as a single publish, and everything else that mutates a DB is a
+// caller of it — the unary ops (mutate.go) are one-member ticks, WAL
+// recovery (durable.go) replays the accepted log tail as one tick, and a
+// union mirror (shardexec.go) catches up on the router log with one tick.
+// The touched R*-trees are copy-on-write cloned once per tick (not once per
+// member), the durable tier appends the tick's WAL records in one write
+// (one fsync under strict or sync-ack durability), the answer cache is
+// invalidated once against the tick's union change boxes, and exactly one
+// MVCC version — at epoch base+k for k applied primitives — becomes
+// visible. The intermediate epochs base+1 .. base+k-1 exist only as WAL
+// records; they are never published and never pinnable.
 //
-// Order equivalence: members apply in slice order against a working state
-// that mirrors the sequential ops exactly — same validation predicates
-// against the working trees, same ID assignment (PIDs/OIDs are the working
-// slice lengths), same tombstone rules — so Apply(batch) publishes the same
-// final state, bit for bit, as applying the members one by one through the
-// public ops, including pathological orders like insert → delete → reinsert
-// of the same object within one tick. A member that fails validation is
-// reported in its MutationResult and skipped; the rest of the batch still
-// applies, exactly as the sequential calls would have behaved.
+// Order equivalence: members apply in slice order against the working
+// state — validation against the working trees, ID assignment from the
+// working slice lengths (PIDs/OIDs), tombstones in the working maps — so
+// Apply(batch) publishes the same final state, bit for bit, as any split of
+// the batch into smaller ticks, down to one call per member, including
+// pathological orders like insert → delete → reinsert of the same object
+// within one tick. A member that fails validation is reported in its
+// MutationResult and skipped; the rest of the batch still applies.
 
 // MutationOp identifies the operation of one DB.Apply batch member.
 type MutationOp uint8
@@ -229,8 +232,8 @@ type motionUpdate struct {
 
 // batchState is the working state of one Apply call: a successor version
 // under construction whose slices, tombstone maps, trees and kernel advance
-// member by member with exactly the sequential ops' rules, plus the WAL
-// records, union change boxes and motion bookkeeping the commit needs.
+// member by member, plus the WAL records, union change boxes and motion
+// bookkeeping the commit needs.
 type batchState struct {
 	db *DB
 	v  *version // base version
@@ -260,8 +263,16 @@ type batchState struct {
 	motions []motionUpdate
 }
 
+// beginBatch starts a successor of v sharing all of its structure; members
+// overwrite the fields they change and commit finalizes epoch and engine.
 func (db *DB) beginBatch(v *version) *batchState {
-	return &batchState{db: db, v: v, nv: beginVersion(v), kern: v.eng.Kernel, bounded: true}
+	nv := &version{
+		points:     v.points,
+		obstacles:  v.obstacles,
+		deletedPts: v.deletedPts,
+		deletedObs: v.deletedObs,
+	}
+	return &batchState{db: db, v: v, nv: nv, kern: v.eng.Kernel, bounded: true}
 }
 
 // member applies one batch member to the working state.
@@ -364,8 +375,8 @@ func dist(a, b Point) float64 {
 }
 
 // ---------------------------------------------------------------------------
-// Working-state primitives: each mirrors its mutate.go twin against the
-// batch's working version instead of the published one.
+// Working-state primitives: the four operations of the paper's update model,
+// each validated and applied against the batch's working version.
 
 // pointTreeR returns the tree to read point items from: the working clone
 // when one exists, the base tree otherwise.
@@ -397,7 +408,10 @@ func (b *batchState) obstTreeR() *rtree.Tree {
 }
 
 // pointTreeW returns the working tree for point mutations, cloning the base
-// tree copy-on-write on first use (accounting detached, as in mutateTree).
+// tree copy-on-write on first use. I/O accounting is detached until commit:
+// structural page writes are not part of the paper's query cost model, and
+// skipping the recorder keeps the writer off the (unsynchronized) LRU buffer
+// while readers use it.
 func (b *batchState) pointTreeW() *rtree.Tree {
 	if b.v.eng.OneTree() {
 		if b.uni == nil {
@@ -470,6 +484,8 @@ func (b *batchState) insertPoint(p Point) (int32, error) {
 		nv.points = grownCopy(nv.points)
 		b.db.ownPts = true
 	}
+	// Appending in place is safe even while older versions are being read:
+	// they only ever index their own shorter prefix of the shared array.
 	nv.points = append(nv.points, p)
 	b.pointTreeW().Insert(rtree.PointItem(pid, p))
 	b.kern = b.kern.Extend(nv.obstacles)
@@ -562,9 +578,13 @@ func (b *batchState) deleteObstacle(oid int32) error {
 // Commit
 
 // finishEngine assembles the working version's engine: working clones get
-// their accounting reattached (mutateTree's rule), untouched tree handles
-// are shared from the base, and the kernel is the per-primitive Extend
-// chain — the identical chain the sequential ops would have built.
+// their accounting reattached, untouched tree handles are shared from the
+// base, and the kernel is the per-primitive Extend chain — shared when the
+// obstacle slice did not grow (point mutations, deletions: tombstoned
+// obstacles stay in the kernel harmlessly, queries never mark them) and
+// extended otherwise (Extend itself shares the BVH until the appended tail
+// outgrows it). Counters, options and the shared query-state pool
+// carry over so metrics and warm scratch survive across versions.
 func (b *batchState) finishEngine() {
 	old := b.v.eng
 	eng := &core.Engine{
@@ -596,29 +616,48 @@ func (b *batchState) finishEngine() {
 	b.nv.eng = eng
 }
 
-// commit publishes the batch: WAL append (fsynced under sync-ack), one
-// union-box cache invalidation, motion bookkeeping, one version swap, one
-// watcher notification per touched kind. On a durable error nothing is
-// published and the handle latches fail-stop, exactly like mutate.go's
-// commit.
+// commit publishes the batch in the one order every write follows: log →
+// sync → invalidate → lastUnbounded → motions → publish → notify.
+//
+// On a durable handle the tick's WAL records are appended — and, in strict
+// mode or under WithSyncAck, fsynced — before anything else: an error means
+// nothing was published, the handle latches fail-stop and the caller
+// discards the working version (an orphaned array append is harmless; no
+// later mutation can reach the slot).
+//
+// Instead of a blanket epoch bump, only cache entries whose conservative
+// impact region intersects the tick's change boxes are invalidated; every
+// other live entry is promoted to the new epoch, so hot requests — and Watch
+// subscriptions, which re-resolve through the cache — keep hitting across
+// unrelated writes. Invalidation runs before the version swap (both under
+// db.mu, so ticks apply to the cache in commit order); the ordering is not
+// load-bearing for correctness, because a lookup only hits an entry whose
+// validity range covers the queried epoch, but it means a watcher woken by
+// this publish finds its promoted entry already in place. Wake-ups are
+// filtered against each watcher's impact region, non-blocking, and coalesce
+// per watcher.
 func (b *batchState) commit() error {
 	db := b.db
 	b.nv.epoch = b.v.epoch + uint64(b.applied)
 	b.finishEngine()
-	if db.dur != nil {
-		if err := db.dur.logBatch(b.recs); err != nil {
-			return err
+	if d := db.dur; d != nil {
+		if err := d.w.AppendBatch(b.recs); err != nil {
+			d.err = fmt.Errorf("connquery: durable: %w", err)
+			return d.err
 		}
+		d.since += len(b.recs)
 		if db.cfg.syncAck {
-			if err := db.dur.syncLocked(); err != nil {
+			if err := d.syncLocked(); err != nil {
 				return err
 			}
 		}
 	}
 	db.cache.InvalidateBatch(b.v.epoch, b.nv.epoch, b.ptBox, b.obsBox, b.hasPt, b.hasObs)
 	if !b.bounded {
-		// Store before the version swap: a watcher observing the new epoch
-		// must also observe the horizon bound (see mutate.go commit).
+		// Only a tick of compliant tracked moves preserves outstanding
+		// validity horizons; anything else bounds them. Store before the
+		// version swap: a watcher observing the new epoch must also observe
+		// the bound.
 		db.lastUnbounded.Store(b.nv.epoch)
 	}
 	// Registry updates land before the version swap and re-key the table at

@@ -1,10 +1,14 @@
 package connquery
 
-// Batch-vs-sequential differential harness for DB.Apply: a batched instance
-// and a reference instance driven by the identical mutation stream — the
-// reference one member at a time through the public ops — must report the
-// same per-member outcomes, sit at the same epoch after every tick, and
-// answer every request kind bit-identically. Directed tests pin the
+// Differential harness for DB.Apply. Two references hold the batched
+// instance: a second instance driven by the identical mutation stream one
+// member at a time through the public ops (one-member ticks of the same
+// write path, so this pins that no split of a batch changes the outcome: same
+// per-member results, same epoch after every tick, bit-identical answers on
+// every request kind), and an independent, deliberately dumb oracle — the
+// generator's own books of the live world plus a fresh Open over the live
+// sets (checkFreshOracle), which shares no code with the write path.
+// Directed tests pin the
 // pathological orders (insert → delete → reinsert of the same object in one
 // tick, moves whose insert half fails) and the durable tier proves batched
 // WAL groups recover to the twin's exact state, including under torn tails.
@@ -12,6 +16,8 @@ package connquery
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -355,7 +361,96 @@ func recordBatch(muts []recMut, batch []Mutation, res ApplyResult) []recMut {
 	return muts
 }
 
-// runApplyDifferential is the single-node batched-vs-sequential driver.
+// checkFreshOracle is the reference that owes nothing to the write path: the
+// instance's live sets must equal the generator's books object for object,
+// and a database bulk-loaded from scratch over those sets must give the same
+// CONN and COkNN answers (owner coordinates and split positions; PIDs differ
+// after compaction and the rebuilt trees have another shape).
+func checkFreshOracle(t *testing.T, label string, dut *DB, g *applyGen, seed int64, opts []Option) {
+	t.Helper()
+	pts, obs := dut.Points(), dut.Obstacles()
+	ptIDs, obsIDs := sortedPtIDs(g.ptPos), sortedObsIDs(g.obsRects)
+	if len(pts) != len(ptIDs) || len(obs) != len(obsIDs) {
+		t.Fatalf("%s: %d live points and %d live obstacles, books hold %d and %d", label, len(pts), len(obs), len(ptIDs), len(obsIDs))
+	}
+	for i, id := range ptIDs { // Points() is compact in PID order
+		if pts[i] != g.ptPos[id] {
+			t.Fatalf("%s: live point %d is %v, books say %v", label, id, pts[i], g.ptPos[id])
+		}
+	}
+	for i, id := range obsIDs {
+		if obs[i] != g.obsRects[id] {
+			t.Fatalf("%s: live obstacle %d is %v, books say %v", label, id, obs[i], g.obsRects[id])
+		}
+	}
+	fresh, err := Open(pts, obs, opts...)
+	if err != nil {
+		t.Fatalf("%s: fresh Open over the live sets: %v", label, err)
+	}
+	w := &diffWorkload{rng: rand.New(rand.NewSource(seed))}
+	ctx := context.Background()
+	for i := 0; i < 12; i++ {
+		q, k := w.seg(), 1+w.rng.Intn(3)
+		got, _, err := Run(ctx, dut, CONNRequest{Seg: q})
+		if err != nil {
+			t.Fatalf("%s: CONN: %v", label, err)
+		}
+		want, _, err := Run(ctx, fresh, CONNRequest{Seg: q})
+		if err != nil {
+			t.Fatalf("%s: fresh CONN: %v", label, err)
+		}
+		if !sameAnswer(t, fmt.Sprintf("%s CONN %v", label, q), got, want) {
+			t.FailNow()
+		}
+		kgot, _, err := Run(ctx, dut, COkNNRequest{Seg: q, K: k})
+		if err != nil {
+			t.Fatalf("%s: COkNN: %v", label, err)
+		}
+		kwant, _, err := Run(ctx, fresh, COkNNRequest{Seg: q, K: k})
+		if err != nil {
+			t.Fatalf("%s: fresh COkNN: %v", label, err)
+		}
+		if !sameKAnswer(t, fmt.Sprintf("%s COkNN k=%d %v", label, k, q), kgot, kwant) {
+			t.FailNow()
+		}
+	}
+}
+
+// sameKAnswer is sameAnswer for COkNN: per tuple, the same owner set by
+// coordinates and the same split positions up to a tiny tolerance.
+func sameKAnswer(t *testing.T, label string, got, want *KResult) bool {
+	t.Helper()
+	if len(got.Tuples) != len(want.Tuples) {
+		t.Errorf("%s: %d tuples, want %d\n got: %+v\nwant: %+v", label, len(got.Tuples), len(want.Tuples), got.Tuples, want.Tuples)
+		return false
+	}
+	const tol = 1e-9
+	for i := range got.Tuples {
+		g, w := got.Tuples[i], want.Tuples[i]
+		if math.Abs(g.Span.Lo-w.Span.Lo) > tol || math.Abs(g.Span.Hi-w.Span.Hi) > tol {
+			t.Errorf("%s tuple %d: span %+v, want %+v", label, i, g.Span, w.Span)
+			return false
+		}
+		owners := make(map[Point]int)
+		for _, o := range g.Owners {
+			owners[o.P]++
+		}
+		for _, o := range w.Owners {
+			owners[o.P]--
+		}
+		for p, n := range owners {
+			if n != 0 {
+				t.Errorf("%s tuple %d: owner %v on one side only\n got: %+v\nwant: %+v", label, i, p, g.Owners, w.Owners)
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// runApplyDifferential is the single-node driver: batched ticks against the
+// member-by-member instance after every tick, and against the fresh-Open
+// oracle every 25 ticks and at the end.
 func runApplyDifferential(t *testing.T, seed int64, opts ...Option) {
 	t.Helper()
 	w, pts, obs := durableWorld(seed)
@@ -396,8 +491,12 @@ func runApplyDifferential(t *testing.T, seed int64, opts ...Option) {
 				t.FailNow()
 			}
 		}
+		if tick%25 == 24 {
+			checkFreshOracle(t, fmt.Sprintf("tick %d", tick), dut, g, seed+int64(tick), opts)
+		}
 	}
 	compareBattery(t, dut, ref, seed+1000, 60)
+	checkFreshOracle(t, "final", dut, g, seed+2000, opts)
 }
 
 // TestApplyBatchDifferential proves DB.Apply order-equivalent to the

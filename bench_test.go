@@ -4,9 +4,9 @@ package connquery
 // Each benchmark iteration executes one full COkNN query (or the figure's
 // specific variant) over the paper's workload at a reduced dataset scale so
 // `go test -bench=.` completes on a laptop; `cmd/connbench` runs the same
-// sweeps at arbitrary scale with tabular output, and its -json mode tracks
-// the hot path's trajectory in BENCH_*.json (BENCH_baseline.json pins the
-// pre-optimization numbers — see README.md).
+// sweeps at arbitrary scale with tabular output. These are tools for
+// measuring while you work; the repo's accepted performance numbers come
+// from the benchmark/ module (see benchmark/README.md).
 
 import (
 	"context"
@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"connquery/internal/bench"
 	"connquery/internal/core"
@@ -272,9 +271,7 @@ func BenchmarkNaiveVsCONN(b *testing.B) {
 // mutation (rotating insert-point / insert-obstacle / delete-point /
 // delete-obstacle), i.e. one copy-on-write R*-tree path copy plus an atomic
 // version publication — while two background readers continuously answer
-// CONN queries on live snapshots. After the timed loop the result is
-// written to BENCH_mutation.json through the internal/bench machinery, so
-// the mutation path's trajectory is tracked alongside the query path's.
+// CONN queries on live snapshots.
 func BenchmarkMutateUnderLoad(b *testing.B) {
 	w := workload("CL", 1)
 	db, err := Open(w.Points, w.Obstacles)
@@ -332,18 +329,4 @@ func BenchmarkMutateUnderLoad(b *testing.B) {
 	b.StopTimer()
 	close(stop)
 	readers.Wait()
-
-	res := bench.BenchResult{
-		Name:      "mutation",
-		Tool:      "go test -bench BenchmarkMutateUnderLoad (one op = one mutation with 2 concurrent CONN readers)",
-		Scale:     benchScale,
-		Queries:   len(queries),
-		K:         1,
-		QL:        0.045,
-		NsPerOp:   float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-	}
-	if _, err := bench.WriteJSON(".", res); err != nil {
-		b.Fatalf("writing BENCH_mutation.json: %v", err)
-	}
 }

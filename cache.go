@@ -12,11 +12,12 @@ import (
 // The answer cache. Exec keys every cacheable execution by a canonical
 // request fingerprint and serves repeats of the same request at the same
 // MVCC epoch — or at any epoch the entry has been promoted across — without
-// touching the engine. Mutations invalidate surgically: each one computes
-// its change box, and only entries whose conservative impact region
-// intersects it are dropped (mutate.go calls anscache.Cache.Invalidate
-// before publishing); every other entry is promoted to the new epoch, which
-// is also what lets Watch deliver maintained answers without re-executing.
+// touching the engine. Mutations invalidate surgically: each tick computes
+// its change boxes, and only entries whose conservative impact region
+// intersects them are dropped (the commit in apply.go calls
+// anscache.Cache.InvalidateBatch before publishing); every other entry is
+// promoted to the new epoch, which is also what lets Watch deliver
+// maintained answers without re-executing.
 //
 // The impact region is derived from the answer itself: the bounding box of
 // the query span inflated by the maximum relevant obstructed distance

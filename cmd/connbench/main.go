@@ -1,16 +1,13 @@
 // Command connbench regenerates the paper's evaluation figures (Gao &
-// Zheng, SIGMOD 2009, §5) as printed tables, and measures the query hot
-// path into machine-readable BENCH_*.json records.
+// Zheng, SIGMOD 2009, §5) as printed tables, and re-measures the Table 2
+// default cell's machine-independent metrics against their pinned records.
+// It is not the repo's performance benchmark: wall-clock questions go to
+// benchmark/ (see benchmark/README.md).
 //
 // Usage:
 //
 //	connbench [-fig all|9|10|11|12|13|ablations] [-scale 0.1] [-queries 100] [-seed 2009]
-//	connbench -json <dir> [-baseline BENCH_table2_defaults.json] [-max-regress 0.10] [-workers 1]
-//	connbench -json <dir> -workers 0 -kernel-baseline BENCH_kernel_baseline.json [-min-speedup 4]
-//	connbench -cache-json <dir> [-cache-baseline BENCH_cache.json] [-max-regress 0.50]
-//	connbench -wal <dir> [-mutation-baseline BENCH_mutation.json] [-max-wal-factor 3]
-//	connbench -stream <dir> [-stream-baseline BENCH_mutation.json] [-stream-batch 64] [-max-stream-factor 0.25]
-//	connbench -storm <dir> [-storm-baseline BENCH_planner.json] [-storm-readers 16] [-storm-ops 40]
+//	connbench -json <dir> [-workers 1] [-shards 1] [-metrics-baseline BENCH_table2_defaults.json]
 //
 // -scale 1 reproduces the paper's full dataset cardinalities (|CA| = 60,344
 // points, |LA| = 131,461 obstacles); the default 0.1 runs the whole suite in
@@ -20,52 +17,14 @@
 // public request API — one op is one COkNNRequest answered by DB.Exec on a
 // prebuilt database — and writes BENCH_table2_defaults.json (ns/op,
 // bytes/op, allocs/op, NPE, NOE, |SVG|) into the given directory instead of
-// printing figures. With -baseline the fresh measurement is compared
-// against a pinned record: the run fails (exit 1) when ns/op regresses by
-// more than -max-regress, or when the machine-independent NPE/NOE/|SVG|
-// metrics deviate at all — the CI regression gate. -workers fans each
-// query's inner sight-line batches across that many lanes via WithWorkers
-// (0 = GOMAXPROCS; the answer is bit-identical, only ns/op changes). With
-// -kernel-baseline the run is additionally gated against the pinned
-// pre-kernel record: it must be at least -min-speedup times faster with
-// exactly matching NPE/NOE/|SVG| — the geometry-kernel speedup gate.
-//
-// -cache-json measures answer-cache effectiveness on the same cell: the
-// query stream once with the cache bypassed (uncached ns/op) and once
-// answered entirely from the warm cache (warm ns/op, hit rate), written as
-// BENCH_cache.json. The gate always enforces the bench.MinCacheSpeedup
-// warm-speedup floor and a full warm hit rate; with -cache-baseline the
-// warm ns/op additionally obeys -max-regress against the pinned record
-// (the warm path is sub-microsecond, so CI uses a looser tolerance than
-// the uncached gate) and the hit rate may never drop.
-//
-// -storm measures what the shared-subcomputation execution planner buys
-// under real concurrency: -storm-readers goroutines each answer the same
-// precomputed streams of overlapping hot-region obstructed-distance
-// queries (the SVG-construction-bound request kind), once on a
-// planner-enabled handle and once on a WithNoPlanner twin (answer caches
-// disabled on both, so every op is a real execution), written as
-// BENCH_planner.json. The gate always enforces the bench.MinStormSpeedup
-// floor on planner-on vs planner-off; with -storm-baseline the planner-on
-// ns/op additionally obeys -max-regress against the pinned record and the
-// recorded speedup may not fall below the floor.
-//
-// -wal measures what durability costs per mutation: one seeded
-// insert/delete stream applied to an in-memory database, a durable one
-// under a -wal-window group-commit window, and a durable one in strict
-// fsync-per-mutation mode, written as BENCH_wal.json. With
-// -mutation-baseline the group-commit cost is gated at -max-wal-factor
-// times the pinned in-memory mutation record's ns/op — the durability-cost
-// regression gate.
-//
-// -stream measures what batched ingest buys per mutation: one seeded
-// insert/delete stream committed one public call per mutation versus the
-// identical stream batched through DB.Apply at -stream-batch mutations
-// per tick (one COW pass, one cache invalidation, one published epoch per
-// tick), written as BENCH_stream.json. With -stream-baseline one
-// mutation's share of a batched tick is gated at -max-stream-factor times
-// the pinned per-mutation record's ns/op — the batching-amortization
-// regression gate.
+// printing figures. -workers fans each query's inner sight-line batches
+// across that many lanes via WithWorkers (0 = GOMAXPROCS) and -shards
+// answers the stream through a sharded router (the record is then
+// BENCH_shard.json); both are execution strategies only, so the answer and
+// its NPE/NOE/|SVG| are bit-identical. With -metrics-baseline the run fails
+// (exit 1) unless NPE/NOE/|SVG| equal the pinned record's exactly — the CI
+// gate. The record's ns/op is informational: it is never compared across
+// runs or machines.
 package main
 
 import (
@@ -73,17 +32,14 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"connquery"
 	"connquery/internal/bench"
-	"connquery/internal/dataset"
 	"connquery/internal/geom"
 	"connquery/internal/stats"
 )
@@ -94,29 +50,9 @@ func main() {
 	queries := flag.Int("queries", 100, "queries per experiment cell")
 	seed := flag.Int64("seed", 2009, "workload seed")
 	jsonDir := flag.String("json", "", "measure the Table 2 default cell via the public Exec API and write BENCH_*.json into this directory instead of printing figures")
-	baseline := flag.String("baseline", "", "with -json: compare against this pinned BENCH_*.json record and fail on regression")
-	maxRegress := flag.Float64("max-regress", 0.10, "with -baseline/-cache-baseline: maximum tolerated ns/op regression (0.10 = 10%)")
-	cacheDir := flag.String("cache-json", "", "measure answer-cache effectiveness on the Table 2 cell (uncached vs warm-cache ns/op, hit rate) and write BENCH_cache.json into this directory")
-	cacheBaseline := flag.String("cache-baseline", "", "with -cache-json: compare against this pinned BENCH_cache.json record and fail on regression")
 	workers := flag.Int("workers", 1, "with -json: fan each query's inner work across this many lanes via WithWorkers (1 = sequential, 0 = GOMAXPROCS)")
 	shards := flag.Int("shards", 1, "with -json: answer the measured stream through a spatially sharded database with this many shard units (writes BENCH_shard.json; answers are bit-identical to single-node)")
-	metricsBaseline := flag.String("metrics-baseline", "", "with -json: require NPE/NOE/|SVG| to match this pinned BENCH_*.json record exactly, with no ns/op gate — the sharded bit-identity gate (ns ratios across backends are not comparable)")
-	kernelBaseline := flag.String("kernel-baseline", "", "with -json: compare against this pinned pre-kernel BENCH_*.json record and fail unless the measured run is at least -min-speedup times faster with exactly matching NPE/NOE/|SVG|")
-	minSpeedup := flag.Float64("min-speedup", 4.0, "with -kernel-baseline: minimum required speedup over the pinned pre-kernel record")
-	stormDir := flag.String("storm", "", "measure the execution planner under a concurrent overlapping storm (planner on vs WithNoPlanner on identical streams) and write BENCH_planner.json into this directory")
-	stormBaseline := flag.String("storm-baseline", "", "with -storm: compare against this pinned BENCH_planner.json record and fail on regression")
-	stormReaders := flag.Int("storm-readers", 16, "with -storm: concurrent reader goroutines")
-	stormOps := flag.Int("storm-ops", 40, "with -storm: queries per reader per measured mode")
-	walDir := flag.String("wal", "", "measure durability cost (ns/mutation in-memory vs group-commit vs strict fsync on the same stream) and write BENCH_wal.json into this directory")
-	walOps := flag.Int("wal-ops", 2000, "with -wal: mutations per measured mode")
-	walWindow := flag.Duration("wal-window", 2*time.Millisecond, "with -wal: group-commit sync window")
-	mutationBaseline := flag.String("mutation-baseline", "", "with -wal: gate group-commit ns/mutation against this pinned in-memory mutation record (BENCH_mutation.json)")
-	maxWALFactor := flag.Float64("max-wal-factor", bench.MaxGroupCommitFactor, "with -mutation-baseline: maximum tolerated group-commit cost as a multiple of the pinned in-memory ns/op")
-	streamDir := flag.String("stream", "", "measure batched-ingest cost (ns/mutation one-call-per-mutation vs DB.Apply ticks on the identical stream) and write BENCH_stream.json into this directory")
-	streamOps := flag.Int("stream-ops", 4096, "with -stream: mutations per measured mode")
-	streamBatch := flag.Int("stream-batch", 64, "with -stream: mutations per Apply tick in the batched mode")
-	streamBaseline := flag.String("stream-baseline", "", "with -stream: gate batched ns/mutation against this pinned per-mutation record (BENCH_mutation.json)")
-	maxStreamFactor := flag.Float64("max-stream-factor", bench.MaxStreamFactor, "with -stream-baseline: maximum tolerated batched cost as a fraction of the pinned per-mutation ns/op")
+	metricsBaseline := flag.String("metrics-baseline", "", "with -json: require NPE/NOE/|SVG| to match this pinned BENCH_*.json record exactly (there is no ns/op gate: wall-clock time is not comparable across runs, machines or backends)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file when the run finishes")
 	flag.Parse()
@@ -163,100 +99,11 @@ func main() {
 		}
 		fmt.Fprintf(out, "%s: %.2f ms/op, %.0f allocs/op, NPE %.1f, NOE %.1f, |SVG| %.1f\n",
 			path, res.NsPerOp/1e6, res.AllocsPerOp, res.NPE, res.NOE, res.SVG)
-		if *baseline != "" {
-			if err := compareBaseline(out, res, *baseline, *maxRegress); err != nil {
-				fmt.Fprintln(os.Stderr, "connbench:", err)
-				os.Exit(1)
-			}
-		}
 		if *metricsBaseline != "" {
 			if err := gateMetrics(out, res, *metricsBaseline); err != nil {
 				fmt.Fprintln(os.Stderr, "connbench:", err)
 				os.Exit(1)
 			}
-		}
-		if *kernelBaseline != "" {
-			if err := gateKernel(out, res, *kernelBaseline, *minSpeedup); err != nil {
-				fmt.Fprintln(os.Stderr, "connbench:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *walDir != "" {
-		res, err := measureWALExec(cfg, *walOps, *walWindow)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "connbench:", err)
-			os.Exit(1)
-		}
-		path, err := bench.WriteWALJSON(*walDir, res)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "connbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(out, "%s: mem %.1f us/mut, group-commit %.1f us/mut (window %v), fsync %.1f us/mut\n",
-			path, res.MemNsPerOp/1e3, res.GroupNsPerOp/1e3, *walWindow, res.FsyncNsPerOp/1e3)
-		if *mutationBaseline != "" {
-			if err := gateWAL(out, res, *mutationBaseline, *maxWALFactor); err != nil {
-				fmt.Fprintln(os.Stderr, "connbench:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *streamDir != "" {
-		res, err := measureStreamExec(cfg, *streamOps, *streamBatch)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "connbench:", err)
-			os.Exit(1)
-		}
-		path, err := bench.WriteStreamJSON(*streamDir, res)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "connbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(out, "%s: per-call %.1f us/mut, batched %.2f us/mut at batch=%d (%.1fx)\n",
-			path, res.SeqNsPerOp/1e3, res.BatchNsPerOp/1e3, res.Batch, res.Speedup)
-		if *streamBaseline != "" {
-			if err := gateStream(out, res, *streamBaseline, *maxStreamFactor); err != nil {
-				fmt.Fprintln(os.Stderr, "connbench:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *stormDir != "" {
-		res := measureStormExec(cfg, *stormReaders, *stormOps)
-		path, err := bench.WriteStormJSON(*stormDir, res)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "connbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(out, "%s: planner %.2f ms/op, no-planner %.2f ms/op, speedup %.2fx (groups %d, adoptions %d, fallbacks %d)\n",
-			path, res.PlannerNsPerOp/1e6, res.NoPlannerNsPerOp/1e6, res.Speedup,
-			res.GroupsFormed, res.Adoptions, res.Fallbacks)
-		if err := gateStorm(out, res, *stormBaseline, *maxRegress); err != nil {
-			fmt.Fprintln(os.Stderr, "connbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *cacheDir != "" {
-		res := measureCacheExec(cfg)
-		path, err := bench.WriteCacheJSON(*cacheDir, res)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "connbench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(out, "%s: uncached %.2f ms/op, warm %.4f ms/op, speedup %.0fx, hit rate %.3f\n",
-			path, res.UncachedNsPerOp/1e6, res.WarmNsPerOp/1e6, res.Speedup, res.HitRate)
-		if err := gateCache(out, res, *cacheBaseline, *maxRegress); err != nil {
-			fmt.Fprintln(os.Stderr, "connbench:", err)
-			os.Exit(1)
 		}
 		return
 	}
@@ -289,19 +136,15 @@ func main() {
 }
 
 // measureTable2Exec measures the Table 2 default cell end to end through
-// the public request API: the same workload, query stream and accounting as
-// the engine-level measurement, with DB.Exec answering one COkNNRequest per
-// op. Keeping the two paths comparable in one schema is what lets the
-// baseline gate catch a regression introduced anywhere between the public
-// surface and the engine. workers plumbs WithWorkers onto every measured
-// request: 1 omits the option (the default sequential path), anything else
-// fans the intra-query sight-line batches across that many lanes (0 =
-// GOMAXPROCS) — the answer is bit-identical either way, so the pinned
-// NPE/NOE/|SVG| gates apply unchanged. shards > 1 answers the same stream
-// through a spatially sharded router (the record is named "shard" so it
-// never overwrites the single-node baseline): the scatter-gather tier is
-// also bit-identical, so NPE/NOE/|SVG| must still match the single-node
-// pinned record exactly — that is the -metrics-baseline gate.
+// the public request API, with DB.Exec answering one COkNNRequest per op.
+// workers plumbs WithWorkers onto every measured request: 1 omits the option
+// (the default sequential path), anything else fans the intra-query
+// sight-line batches across that many lanes (0 = GOMAXPROCS). shards > 1
+// answers the same stream through a spatially sharded router (the record is
+// named "shard" so it never overwrites the single-node one). Lanes and
+// shards are execution strategies: the answer is bit-identical, so
+// NPE/NOE/|SVG| must match the single-node pinned record exactly — that is
+// the -metrics-baseline gate.
 func measureTable2Exec(cfg bench.Config, workers, shards int) bench.BenchResult {
 	ctx := context.Background()
 	tool := "connbench -json (one op = one COkNNRequest via DB.Exec on the flat-geometry kernel, index build excluded)"
@@ -313,9 +156,8 @@ func measureTable2Exec(cfg bench.Config, workers, shards int) bench.BenchResult 
 	}
 	res := bench.MeasureTable2With(cfg, tool,
 		func(w bench.Workload) func(q geom.Segment) stats.QueryMetrics {
-			// The answer cache is disabled so this record keeps measuring the
-			// execution path the pinned baseline pinned; the cached path has
-			// its own record (BENCH_cache.json, -cache-json).
+			// The answer cache is disabled so every op executes the engine and
+			// reports the metrics the record pins.
 			var db connquery.Database
 			var err error
 			if shards > 1 {
@@ -346,554 +188,12 @@ func measureTable2Exec(cfg bench.Config, workers, shards int) bench.BenchResult 
 	return res
 }
 
-// measureCacheExec measures answer-cache effectiveness on the Table 2
-// default cell: the same workload and query stream as the -json record,
-// first with the cache bypassed per call (uncached ns/op), then answered
-// entirely from the warm cache (warm ns/op, averaged over enough rounds
-// that the sub-microsecond hit path is measured stably). The warm pass's
-// hit rate comes from the library's own cache counters.
-func measureCacheExec(cfg bench.Config) bench.CacheBenchResult {
-	ctx := context.Background()
-	// The shared stream builder guarantees this record measures exactly the
-	// query stream of the BENCH_table2_defaults.json record.
-	w, queries, ncfg := bench.Table2Stream(cfg)
-	cfg = ncfg
-	db, err := connquery.Open(w.Points, w.Obstacles)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "connbench:", err)
-		os.Exit(1)
-	}
-	run := func(q geom.Segment, opts ...connquery.QueryOption) {
-		if _, err := db.Exec(ctx, connquery.COkNNRequest{Seg: q, K: bench.DefaultK}, opts...); err != nil {
-			fmt.Fprintln(os.Stderr, "connbench:", err)
-			os.Exit(1)
-		}
-	}
-
-	// Uncached pass: every op executes the engine (warm pooled query state,
-	// same accounting as the -json record).
-	run(queries[0], connquery.WithNoCache())
-	start := time.Now()
-	for _, q := range queries {
-		run(q, connquery.WithNoCache())
-	}
-	uncachedNs := float64(time.Since(start).Nanoseconds()) / float64(len(queries))
-
-	// Populate, then measure the warm pass over enough rounds for a stable
-	// per-hit number.
-	for _, q := range queries {
-		run(q)
-	}
-	rounds := 5000 / len(queries)
-	if rounds < 1 {
-		rounds = 1
-	}
-	before := db.CacheStats()
-	start = time.Now()
-	for r := 0; r < rounds; r++ {
-		for _, q := range queries {
-			run(q)
-		}
-	}
-	warmNs := float64(time.Since(start).Nanoseconds()) / float64(rounds*len(queries))
-	after := db.CacheStats()
-	lookups := float64(after.Hits - before.Hits + after.Misses - before.Misses)
-	hitRate := 0.0
-	if lookups > 0 {
-		hitRate = float64(after.Hits-before.Hits) / lookups
-	}
-
-	return bench.CacheBenchResult{
-		Name:            "cache",
-		Tool:            "connbench -cache-json (one op = one COkNNRequest via DB.Exec; uncached = WithNoCache, warm = repeated over a populated cache)",
-		Scale:           cfg.Scale,
-		Queries:         cfg.Queries,
-		Seed:            cfg.Seed,
-		K:               bench.DefaultK,
-		QL:              bench.DefaultQL,
-		UncachedNsPerOp: uncachedNs,
-		WarmNsPerOp:     warmNs,
-		Speedup:         uncachedNs / warmNs,
-		HitRate:         hitRate,
-		WarmRounds:      rounds,
-		Timestamp:       time.Now().UTC().Format(time.RFC3339),
-	}
-}
-
-// measureStormExec measures the execution planner under the workload it was
-// built for: readers goroutines concurrently answer overlapping
-// obstructed-distance queries concentrated in a hot sub-square of a dense
-// world — dense enough that the kernel's full corner-pair table is gated
-// off, which is the only regime where the planner engages. Obstructed
-// distance is the SVG-construction-bound kind: nearly all of an op is
-// corner-pair sight-line work, the exact subcomputation the shared table
-// serves (COkNN storms spend most of each op in top-k retrieval and
-// shortest-path settling, which no amount of sharing can touch). Each
-// reader gets its own precomputed seeded stream, and the identical streams
-// run once against a WithNoPlanner handle and once against a
-// planner-enabled one, answer caches disabled on both so every op is a real
-// execution. Under the storm the planner groups in-flight requests by
-// quantized region, builds one shared region-scoped sight-line certificate
-// table per group, and members answer covered visibility pairs from table
-// lookups instead of private BVH walks — the measured speedup is exactly
-// that sharing, on answers the plandiff storm proves bit-identical.
-func measureStormExec(cfg bench.Config, readers, ops int) bench.StormBenchResult {
-	ctx := context.Background()
-	w := bench.BuildWorkload("CL", cfg.Scale, bench.DefaultRatio, cfg.Seed)
-	// The hot sub-square sits on the densest point cell of the clustered CL
-	// workload — where a real query hotspot would be, and where COkNN stays
-	// local (a hot box over a point desert degenerates into whole-world
-	// retrievals). At 4% of the world side it spans only a few quantized
-	// planner cells, so the concurrent streams collide on group keys.
-	const hotFrac = 0.005
-	hotSide := dataset.Side * hotFrac
-	lox, loy := densestCell(w.Points, hotSide)
-	hotRegion := geom.Rect{MinX: lox, MinY: loy, MaxX: lox + hotSide, MaxY: loy + hotSide}
-	streams := make([][]connquery.DistanceRequest, readers)
-	for r := range streams {
-		rng := rand.New(rand.NewSource(cfg.Seed + 100 + int64(r)))
-		reqs := make([]connquery.DistanceRequest, ops)
-		for i := range reqs {
-			// The endpoint pairs are travelable-segment endpoints (the
-			// paper's QuerySegment rejection rule): both free points, ql
-			// apart, with open space between them — a pair walled into a
-			// different obstacle pocket degenerates into a whole-world
-			// search.
-			s := dataset.QuerySegmentIn(rng, bench.DefaultQL, w.Obstacles, hotRegion)
-			reqs[i] = connquery.DistanceRequest{A: s.A, B: s.B}
-		}
-		streams[r] = reqs
-	}
-
-	run := func(opts ...connquery.Option) (float64, connquery.PlannerStats) {
-		db, err := connquery.Open(w.Points, w.Obstacles,
-			append([]connquery.Option{connquery.WithAnswerCache(0)}, opts...)...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "connbench:", err)
-			os.Exit(1)
-		}
-		storm := func() {
-			var wg sync.WaitGroup
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					for _, q := range streams[r] {
-						if _, err := db.Exec(ctx, q); err != nil {
-							fmt.Fprintln(os.Stderr, "connbench:", err)
-							os.Exit(1)
-						}
-					}
-				}(r)
-			}
-			wg.Wait()
-		}
-		// Warmup: repeat full storm rounds until the planner's group set
-		// stops growing (group formation needs two requests in flight on one
-		// key, which the scheduler may withhold on any single round but not
-		// round after round). The measured pass is then the steady state a
-		// sustained storm reaches — hot groups built, every op adopting —
-		// with no build time on the clock. Planner-off runs see no groups
-		// and settle after two rounds, warming the same pooled state.
-		prev := ^uint64(0)
-		for round := 0; round < 8; round++ {
-			storm()
-			if ps := db.PlannerStats(); ps.GroupsFormed == prev {
-				break
-			} else {
-				prev = ps.GroupsFormed
-			}
-		}
-		start := time.Now()
-		storm()
-		return float64(time.Since(start).Nanoseconds()) / float64(readers*ops), db.PlannerStats()
-	}
-
-	offNs, _ := run(connquery.WithNoPlanner())
-	onNs, ps := run()
-
-	return bench.StormBenchResult{
-		Name:             "planner",
-		Tool:             "connbench -storm (one op = one DistanceRequest via DB.Exec under N concurrent readers on overlapping hot-region streams; planner on vs WithNoPlanner, answer caches off)",
-		Kind:             connquery.DistanceRequest{}.Kind(),
-		Scale:            cfg.Scale,
-		Readers:          readers,
-		OpsPerReader:     ops,
-		Seed:             cfg.Seed,
-		QL:               bench.DefaultQL,
-		HotFrac:          hotFrac,
-		PlannerNsPerOp:   onNs,
-		NoPlannerNsPerOp: offNs,
-		Speedup:          offNs / onNs,
-		GroupsFormed:     ps.GroupsFormed,
-		Adoptions:        ps.Adoptions,
-		Fallbacks:        ps.Fallbacks,
-		Timestamp:        time.Now().UTC().Format(time.RFC3339),
-	}
-}
-
-// densestCell grids the world at the hot box's side and returns the
-// lower-left corner of the cell holding the most points (ties to the lowest
-// cell index, so the choice is a pure deterministic function of the
-// workload).
-func densestCell(pts []geom.Point, side float64) (lox, loy float64) {
-	n := int(dataset.Side / side)
-	if n < 1 {
-		n = 1
-	}
-	counts := make([]int, n*n)
-	for _, p := range pts {
-		i, j := int(p.X/side), int(p.Y/side)
-		if i < 0 || i >= n || j < 0 || j >= n {
-			continue
-		}
-		counts[j*n+i]++
-	}
-	best := 0
-	for c := range counts {
-		if counts[c] > counts[best] {
-			best = c
-		}
-	}
-	return float64(best%n) * side, float64(best/n) * side
-}
-
-// gateStorm enforces the planner-effectiveness gate: the hard
-// MinStormSpeedup floor always applies, and the planner-on run must have
-// actually formed and shared groups (a speedup without adoptions would be
-// noise, not the planner). With a pinned baseline, parameters must match
-// and the planner-on ns/op may not regress by more than maxRegress (the
-// storm is concurrency-scheduled, so CI passes a looser tolerance than the
-// single-query gate).
-func gateStorm(out *os.File, cur bench.StormBenchResult, baselinePath string, maxRegress float64) error {
-	if cur.GroupsFormed == 0 || cur.Adoptions == 0 {
-		return fmt.Errorf("planner never engaged under the storm (groups %d, adoptions %d): the measurement is vacuous",
-			cur.GroupsFormed, cur.Adoptions)
-	}
-	if cur.Speedup < bench.MinStormSpeedup {
-		return fmt.Errorf("planner storm speedup %.2fx is below the %.1fx floor (planner %.2f ms/op, no-planner %.2f ms/op)",
-			cur.Speedup, bench.MinStormSpeedup, cur.PlannerNsPerOp/1e6, cur.NoPlannerNsPerOp/1e6)
-	}
-	if baselinePath == "" {
-		return nil
-	}
-	base, err := bench.ReadStormJSON(baselinePath)
-	if err != nil {
-		return fmt.Errorf("storm baseline %s: %w", baselinePath, err)
-	}
-	ratio := cur.PlannerNsPerOp / base.PlannerNsPerOp
-	fmt.Fprintf(out, "storm baseline %s: planner %.2f ms/op -> %.2f ms/op (%+.1f%%), speedup %.2fx -> %.2fx\n",
-		baselinePath, base.PlannerNsPerOp/1e6, cur.PlannerNsPerOp/1e6, (ratio-1)*100, base.Speedup, cur.Speedup)
-	if cur.Scale != base.Scale || cur.Readers != base.Readers || cur.OpsPerReader != base.OpsPerReader ||
-		cur.Seed != base.Seed || cur.Kind != base.Kind || cur.QL != base.QL || cur.HotFrac != base.HotFrac {
-		return fmt.Errorf("storm parameters do not match the baseline (scale %g vs %g, readers %d vs %d, ops %d vs %d, seed %d vs %d): re-pin the record or align the flags",
-			cur.Scale, base.Scale, cur.Readers, base.Readers, cur.OpsPerReader, base.OpsPerReader, cur.Seed, base.Seed)
-	}
-	if ratio > 1+maxRegress {
-		return fmt.Errorf("planner-on ns/op regressed %.1f%% (limit %.0f%%): %.2f ms/op vs baseline %.2f ms/op",
-			(ratio-1)*100, maxRegress*100, cur.PlannerNsPerOp/1e6, base.PlannerNsPerOp/1e6)
-	}
-	return nil
-}
-
-// measureWALExec measures what durability costs per mutation: one seeded
-// insert/delete stream applied to an in-memory handle, a durable handle
-// under a group-commit window, and a durable handle in strict
-// fsync-per-mutation mode. The streams are identical (same rng seed, same
-// engine semantics), so any ns difference is the logging itself. Automatic
-// checkpointing is disabled in the durable modes so the numbers measure the
-// steady-state append path, not a checkpoint that happens to fire mid-run.
-func measureWALExec(cfg bench.Config, ops int, window time.Duration) (bench.WALBenchResult, error) {
-	w := bench.BuildWorkload("CL", cfg.Scale, bench.DefaultRatio, cfg.Seed)
-
-	runStream := func(db connquery.Database) (float64, error) {
-		rng := rand.New(rand.NewSource(cfg.Seed + 1))
-		var live []int32
-		start := time.Now()
-		for n := 0; n < ops; n++ {
-			if len(live) > 0 && rng.Float64() < 0.4 {
-				i := rng.Intn(len(live))
-				if !db.DeletePoint(live[i]) {
-					return 0, fmt.Errorf("wal bench: DeletePoint(%d) failed", live[i])
-				}
-				live = append(live[:i], live[i+1:]...)
-				continue
-			}
-			p := geom.Point{X: rng.Float64() * dataset.Side, Y: rng.Float64() * dataset.Side}
-			id, err := db.InsertPoint(p)
-			if err != nil {
-				// The draw landed inside an obstacle; the rejection is part of
-				// the stream (identical across modes) and costs a validation
-				// pass, not a log append.
-				continue
-			}
-			live = append(live, id)
-		}
-		return float64(time.Since(start).Nanoseconds()) / float64(ops), nil
-	}
-
-	mem, err := connquery.Open(w.Points, w.Obstacles)
-	if err != nil {
-		return bench.WALBenchResult{}, err
-	}
-	memNs, err := runStream(mem)
-	if err != nil {
-		return bench.WALBenchResult{}, err
-	}
-
-	durableStream := func(opts ...connquery.Option) (float64, error) {
-		dir, err := os.MkdirTemp("", "connbench-wal-")
-		if err != nil {
-			return 0, err
-		}
-		defer os.RemoveAll(dir)
-		opts = append(opts, connquery.WithBootstrapData(w.Points, w.Obstacles), connquery.WithCheckpointEvery(-1))
-		db, err := connquery.OpenDurable(dir, opts...)
-		if err != nil {
-			return 0, err
-		}
-		defer db.Close()
-		return runStream(db)
-	}
-	groupNs, err := durableStream(connquery.WithGroupCommit(window))
-	if err != nil {
-		return bench.WALBenchResult{}, err
-	}
-	fsyncNs, err := durableStream()
-	if err != nil {
-		return bench.WALBenchResult{}, err
-	}
-
-	return bench.WALBenchResult{
-		Name:          "wal",
-		Tool:          "connbench -wal (one op = one point insert/delete on the CL workload; in-memory vs OpenDurable group-commit vs OpenDurable strict fsync)",
-		Scale:         cfg.Scale,
-		Ops:           ops,
-		Seed:          cfg.Seed,
-		MemNsPerOp:    memNs,
-		GroupNsPerOp:  groupNs,
-		FsyncNsPerOp:  fsyncNs,
-		GroupWindowMs: float64(window.Nanoseconds()) / 1e6,
-		Timestamp:     time.Now().UTC().Format(time.RFC3339),
-	}, nil
-}
-
-// gateWAL enforces the durability-cost gate: group-commit logging may cost
-// at most maxFactor times the pinned in-memory mutation baseline
-// (BENCH_mutation.json). Like every ns gate in this repo the comparison is
-// machine-dependent — re-pin the baseline when the reference hardware
-// changes. Strict-fsync cost is informational: it is the device's sync
-// latency, not this code's overhead.
-func gateWAL(out *os.File, cur bench.WALBenchResult, baselinePath string, maxFactor float64) error {
-	base, err := bench.ReadJSON(baselinePath)
-	if err != nil {
-		return fmt.Errorf("mutation baseline %s: %w", baselinePath, err)
-	}
-	factor := cur.GroupNsPerOp / base.NsPerOp
-	fmt.Fprintf(out, "mutation baseline %s: in-memory %.1f us/mut, group-commit %.1f us/mut (%.2fx, ceiling %.1fx)\n",
-		baselinePath, base.NsPerOp/1e3, cur.GroupNsPerOp/1e3, factor, maxFactor)
-	if factor > maxFactor {
-		return fmt.Errorf("group-commit mutation cost %.1f us is %.2fx the pinned in-memory baseline %.1f us (ceiling %.1fx)",
-			cur.GroupNsPerOp/1e3, factor, base.NsPerOp/1e3, maxFactor)
-	}
-	return nil
-}
-
-// measureStreamExec measures what batched ingest buys per mutation: one
-// precomputed seeded insert/delete stream, committed against one handle
-// with a public call per mutation (one COW clone, one cache invalidation,
-// one published epoch each) and against a fresh identical handle through
-// DB.Apply in batch-sized ticks (the commit overhead amortized across the
-// tick). The mutation list is generated once — insert PIDs are predicted
-// from the library's sequential ID assignment, so both modes commit the
-// byte-identical stream and any ns difference is the batching itself.
-func measureStreamExec(cfg bench.Config, ops, batch int) (bench.StreamBenchResult, error) {
-	if batch < 1 {
-		return bench.StreamBenchResult{}, fmt.Errorf("stream batch must be >= 1, got %d", batch)
-	}
-	w := bench.BuildWorkload("CL", cfg.Scale, bench.DefaultRatio, cfg.Seed)
-
-	// Insert positions are drawn outside every obstacle so each insert
-	// succeeds and the predicted PID sequence matches the engine's.
-	inside := func(p geom.Point) bool {
-		for _, r := range w.Obstacles {
-			if p.X > r.MinX && p.X < r.MaxX && p.Y > r.MinY && p.Y < r.MaxY {
-				return true
-			}
-		}
-		return false
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	nextPID := int32(len(w.Points))
-	var live []int32
-	muts := make([]connquery.Mutation, 0, ops)
-	for len(muts) < ops {
-		if len(live) > 0 && rng.Float64() < 0.4 {
-			i := rng.Intn(len(live))
-			muts = append(muts, connquery.Mutation{Op: connquery.MutDeletePoint, ID: live[i]})
-			live = append(live[:i], live[i+1:]...)
-			continue
-		}
-		p := geom.Point{X: rng.Float64() * dataset.Side, Y: rng.Float64() * dataset.Side}
-		if inside(p) {
-			continue // rejected draws stay identical across modes: same rng
-		}
-		muts = append(muts, connquery.Mutation{Op: connquery.MutInsertPoint, P: p})
-		live = append(live, nextPID)
-		nextPID++
-	}
-
-	seqDB, err := connquery.Open(w.Points, w.Obstacles)
-	if err != nil {
-		return bench.StreamBenchResult{}, err
-	}
-	start := time.Now()
-	for _, m := range muts {
-		switch m.Op {
-		case connquery.MutInsertPoint:
-			if _, err := seqDB.InsertPoint(m.P); err != nil {
-				return bench.StreamBenchResult{}, fmt.Errorf("stream bench: InsertPoint: %w", err)
-			}
-		case connquery.MutDeletePoint:
-			if !seqDB.DeletePoint(m.ID) {
-				return bench.StreamBenchResult{}, fmt.Errorf("stream bench: DeletePoint(%d) failed", m.ID)
-			}
-		}
-	}
-	seqNs := float64(time.Since(start).Nanoseconds()) / float64(ops)
-
-	batchDB, err := connquery.Open(w.Points, w.Obstacles)
-	if err != nil {
-		return bench.StreamBenchResult{}, err
-	}
-	start = time.Now()
-	for lo := 0; lo < len(muts); lo += batch {
-		hi := min(lo+batch, len(muts))
-		res, err := batchDB.Apply(muts[lo:hi])
-		if err != nil {
-			return bench.StreamBenchResult{}, fmt.Errorf("stream bench: Apply: %w", err)
-		}
-		if res.Applied != hi-lo {
-			return bench.StreamBenchResult{}, fmt.Errorf("stream bench: tick applied %d of %d members", res.Applied, hi-lo)
-		}
-	}
-	batchNs := float64(time.Since(start).Nanoseconds()) / float64(ops)
-
-	// The two handles must agree exactly — the batched stream is the same
-	// stream.
-	if batchDB.Version() != seqDB.Version() || batchDB.NumPoints() != seqDB.NumPoints() {
-		return bench.StreamBenchResult{}, fmt.Errorf("stream bench: modes diverged (epoch %d vs %d, points %d vs %d)",
-			batchDB.Version(), seqDB.Version(), batchDB.NumPoints(), seqDB.NumPoints())
-	}
-
-	return bench.StreamBenchResult{
-		Name:         "stream",
-		Tool:         "connbench -stream (one op = one point insert/delete on the CL workload; one public call per mutation vs DB.Apply ticks)",
-		Scale:        cfg.Scale,
-		Ops:          ops,
-		Batch:        batch,
-		Seed:         cfg.Seed,
-		SeqNsPerOp:   seqNs,
-		BatchNsPerOp: batchNs,
-		Speedup:      seqNs / batchNs,
-		Timestamp:    time.Now().UTC().Format(time.RFC3339),
-	}, nil
-}
-
-// gateStream enforces the batching-amortization gate: one mutation's share
-// of a batched tick may cost at most maxFactor times the pinned
-// per-mutation baseline (BENCH_mutation.json). Like every ns gate in this
-// repo the comparison is machine-dependent — re-pin the baseline when the
-// reference hardware changes.
-func gateStream(out *os.File, cur bench.StreamBenchResult, baselinePath string, maxFactor float64) error {
-	base, err := bench.ReadJSON(baselinePath)
-	if err != nil {
-		return fmt.Errorf("stream baseline %s: %w", baselinePath, err)
-	}
-	factor := cur.BatchNsPerOp / base.NsPerOp
-	fmt.Fprintf(out, "mutation baseline %s: per-call %.1f us/mut, batched %.2f us/mut (%.3fx, ceiling %.2fx)\n",
-		baselinePath, base.NsPerOp/1e3, cur.BatchNsPerOp/1e3, factor, maxFactor)
-	if factor > maxFactor {
-		return fmt.Errorf("batched mutation cost %.2f us is %.3fx the pinned per-mutation baseline %.1f us (ceiling %.2fx)",
-			cur.BatchNsPerOp/1e3, factor, base.NsPerOp/1e3, maxFactor)
-	}
-	return nil
-}
-
-// gateCache enforces the cache-effectiveness gate: the hard
-// MinCacheSpeedup floor and full warm hit rate always apply; with a pinned
-// baseline, parameters must match, the hit rate may not drop, and the warm
-// ns/op may not regress by more than maxRegress.
-func gateCache(out *os.File, cur bench.CacheBenchResult, baselinePath string, maxRegress float64) error {
-	if cur.Speedup < bench.MinCacheSpeedup {
-		return fmt.Errorf("warm-cache speedup %.1fx is below the %.0fx floor (uncached %.2f ms/op, warm %.4f ms/op)",
-			cur.Speedup, bench.MinCacheSpeedup, cur.UncachedNsPerOp/1e6, cur.WarmNsPerOp/1e6)
-	}
-	if cur.HitRate < 1 {
-		return fmt.Errorf("warm pass hit rate %.3f < 1: repeated requests failed to hit", cur.HitRate)
-	}
-	if baselinePath == "" {
-		return nil
-	}
-	base, err := bench.ReadCacheJSON(baselinePath)
-	if err != nil {
-		return fmt.Errorf("cache baseline %s: %w", baselinePath, err)
-	}
-	ratio := cur.WarmNsPerOp / base.WarmNsPerOp
-	fmt.Fprintf(out, "cache baseline %s: warm %.4f ms/op -> %.4f ms/op (%+.1f%%), speedup %.0fx -> %.0fx\n",
-		baselinePath, base.WarmNsPerOp/1e6, cur.WarmNsPerOp/1e6, (ratio-1)*100, base.Speedup, cur.Speedup)
-	if cur.Scale != base.Scale || cur.Queries != base.Queries || cur.Seed != base.Seed || cur.K != base.K || cur.QL != base.QL {
-		return fmt.Errorf("workload parameters do not match the cache baseline (scale %g vs %g, queries %d vs %d, seed %d vs %d): re-pin the record or align the flags",
-			cur.Scale, base.Scale, cur.Queries, base.Queries, cur.Seed, base.Seed)
-	}
-	if cur.HitRate < base.HitRate {
-		return fmt.Errorf("hit rate dropped: %.3f vs baseline %.3f", cur.HitRate, base.HitRate)
-	}
-	if ratio > 1+maxRegress {
-		return fmt.Errorf("warm ns/op regressed %.1f%% (limit %.0f%%): %.4f ms/op vs baseline %.4f ms/op",
-			(ratio-1)*100, maxRegress*100, cur.WarmNsPerOp/1e6, base.WarmNsPerOp/1e6)
-	}
-	return nil
-}
-
-// compareBaseline enforces the regression gate against a pinned record.
-func compareBaseline(out *os.File, cur bench.BenchResult, path string, maxRegress float64) error {
-	base, err := bench.ReadJSON(path)
-	if err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	ratio := cur.NsPerOp / base.NsPerOp
-	fmt.Fprintf(out, "baseline %s: %.2f ms/op -> %.2f ms/op (%+.1f%%)\n",
-		path, base.NsPerOp/1e6, cur.NsPerOp/1e6, (ratio-1)*100)
-	// Comparing runs of different workloads is meaningless in both halves
-	// of the gate, so a parameter mismatch is an error, not a silent skip.
-	if cur.Scale != base.Scale || cur.Queries != base.Queries || cur.Seed != base.Seed || cur.K != base.K || cur.QL != base.QL {
-		return fmt.Errorf("workload parameters do not match the baseline (scale %g vs %g, queries %d vs %d, seed %d vs %d): re-pin the record or align the flags",
-			cur.Scale, base.Scale, cur.Queries, base.Queries, cur.Seed, base.Seed)
-	}
-	// The workload metrics are machine-independent: with matching
-	// parameters, any deviation is an algorithmic change, not noise. The
-	// ns/op half of the gate IS machine-dependent — re-pin the record when
-	// the reference hardware changes.
-	const tol = 1e-9
-	if math.Abs(cur.NPE-base.NPE) > tol || math.Abs(cur.NOE-base.NOE) > tol || math.Abs(cur.SVG-base.SVG) > tol {
-		return fmt.Errorf("workload metrics deviate from baseline: NPE %.2f vs %.2f, NOE %.2f vs %.2f, |SVG| %.2f vs %.2f",
-			cur.NPE, base.NPE, cur.NOE, base.NOE, cur.SVG, base.SVG)
-	}
-	if ratio > 1+maxRegress {
-		return fmt.Errorf("ns/op regressed %.1f%% (limit %.0f%%): %.2f ms/op vs baseline %.2f ms/op",
-			(ratio-1)*100, maxRegress*100, cur.NsPerOp/1e6, base.NsPerOp/1e6)
-	}
-	return nil
-}
-
-// gateMetrics enforces the metrics-only bit-identity gate: on a matching
-// workload, the machine-independent NPE/NOE/|SVG| metrics must equal the
-// pinned record's exactly, with no ns/op comparison at all. This is the
-// sharded-router gate: a sharded run answers the same query stream through
-// scatter-gather, so its per-query ns/op is not comparable to the
-// single-node record (different execution structure), but its metrics must
-// be — the router's contract is bit-identical answers AND traces.
+// gateMetrics enforces the bit-identity gate: on a matching workload, the
+// machine-independent NPE/NOE/|SVG| metrics must equal the pinned record's
+// exactly. There is deliberately no ns/op half — wall-clock time is not
+// comparable across runs, machines or execution structures — but the
+// metrics must be: every execution strategy (Exec path, lanes, shards)
+// promises bit-identical answers AND traces.
 func gateMetrics(out *os.File, cur bench.BenchResult, path string) error {
 	base, err := bench.ReadJSON(path)
 	if err != nil {
@@ -905,43 +205,10 @@ func gateMetrics(out *os.File, cur bench.BenchResult, path string) error {
 	}
 	const tol = 1e-9
 	if math.Abs(cur.NPE-base.NPE) > tol || math.Abs(cur.NOE-base.NOE) > tol || math.Abs(cur.SVG-base.SVG) > tol {
-		return fmt.Errorf("workload metrics deviate from %s: NPE %.2f vs %.2f, NOE %.2f vs %.2f, |SVG| %.2f vs %.2f — the sharded trace is not bit-identical",
+		return fmt.Errorf("workload metrics deviate from %s: NPE %.2f vs %.2f, NOE %.2f vs %.2f, |SVG| %.2f vs %.2f — the trace is not bit-identical",
 			path, cur.NPE, base.NPE, cur.NOE, base.NOE, cur.SVG, base.SVG)
 	}
 	fmt.Fprintf(out, "metrics baseline %s: NPE %.2f, NOE %.2f, |SVG| %.2f — exact match\n",
 		path, cur.NPE, cur.NOE, cur.SVG)
-	return nil
-}
-
-// gateKernel enforces the geometry-kernel speedup gate against the pinned
-// pre-kernel record (BENCH_kernel_baseline.json): on a matching workload the
-// measured run must be at least minSpeedup times faster, and the
-// machine-independent NPE/NOE/|SVG| metrics must match the record exactly —
-// the kernel is a pure execution-strategy change, so any metric deviation
-// means it altered what the algorithm computed, not just how fast. The ns
-// half is machine-dependent like every ns gate in this repo: when the
-// reference hardware changes, re-pin the record rather than loosening the
-// floor.
-func gateKernel(out *os.File, cur bench.BenchResult, path string, minSpeedup float64) error {
-	base, err := bench.ReadJSON(path)
-	if err != nil {
-		return fmt.Errorf("kernel baseline %s: %w", path, err)
-	}
-	if cur.Scale != base.Scale || cur.Queries != base.Queries || cur.Seed != base.Seed || cur.K != base.K || cur.QL != base.QL {
-		return fmt.Errorf("workload parameters do not match the kernel baseline (scale %g vs %g, queries %d vs %d, seed %d vs %d): re-pin the record or align the flags",
-			cur.Scale, base.Scale, cur.Queries, base.Queries, cur.Seed, base.Seed)
-	}
-	const tol = 1e-9
-	if math.Abs(cur.NPE-base.NPE) > tol || math.Abs(cur.NOE-base.NOE) > tol || math.Abs(cur.SVG-base.SVG) > tol {
-		return fmt.Errorf("workload metrics deviate from the kernel baseline: NPE %.2f vs %.2f, NOE %.2f vs %.2f, |SVG| %.2f vs %.2f",
-			cur.NPE, base.NPE, cur.NOE, base.NOE, cur.SVG, base.SVG)
-	}
-	speedup := base.NsPerOp / cur.NsPerOp
-	fmt.Fprintf(out, "kernel baseline %s: %.2f ms/op -> %.2f ms/op (%.2fx, floor %.1fx)\n",
-		path, base.NsPerOp/1e6, cur.NsPerOp/1e6, speedup, minSpeedup)
-	if speedup < minSpeedup {
-		return fmt.Errorf("kernel speedup %.2fx is below the %.1fx floor: %.2f ms/op vs pre-kernel %.2f ms/op",
-			speedup, minSpeedup, cur.NsPerOp/1e6, base.NsPerOp/1e6)
-	}
 	return nil
 }

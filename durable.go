@@ -17,13 +17,14 @@ import (
 // must answer bit-identically at the recovered epoch, payload and
 // NPE/NOE/|SVG|/Reach metrics included.
 //
-// Write path. Under the writer lock, every mutation appends one CRC-framed
-// record to the WAL — and, in the default strict mode, fsyncs it — BEFORE
-// publish() swaps the version pointer: nothing becomes visible to queries
-// that recovery could not reproduce. WithGroupCommit relaxes the fsync into
-// a batched background sync, trading a bounded tail of recent mutations for
-// fleet-scale update throughput; the on-disk log is always a prefix of the
-// committed stream, so recovery still lands on a consistent earlier epoch.
+// Write path. Under the writer lock, every tick appends one CRC-framed
+// record per applied primitive to the WAL — and, in the default strict
+// mode, fsyncs them — BEFORE the commit (apply.go) swaps the version
+// pointer: nothing becomes visible to queries that recovery could not
+// reproduce. WithGroupCommit relaxes the fsync into a batched background
+// sync, trading a bounded tail of recent mutations for fleet-scale update
+// throughput; the on-disk log is always a prefix of the committed stream,
+// so recovery still lands on a consistent earlier epoch.
 //
 // Checkpoints. Checkpoint (and the automatic WithCheckpointEvery interval)
 // syncs the log, atomically writes the current version's full storage image
@@ -91,12 +92,12 @@ func recoveryCounter(cfg config) *stats.PageCounter {
 // OpenDurable opens (or creates) a durable database in dir.
 //
 // When dir holds durable state, the instance cold-starts from the latest
-// checkpoint plus a WAL replay through the regular mutation path — so the
-// R-trees, flat-geometry kernel and answer-affecting state rebuild exactly
-// — and resumes at the recovered epoch. When dir is empty, the initial
-// world must come from WithBootstrapData; it is built exactly as Open would
-// build it (same validation, same IDs, epoch 1) and checkpointed before the
-// call returns. All regular Options apply; WithGroupCommit and
+// checkpoint plus a WAL replay through DB.Apply, the one write path — so
+// the R-trees, flat-geometry kernel and answer-affecting state rebuild
+// exactly — and resumes at the recovered epoch. When dir is empty, the
+// initial world must come from WithBootstrapData; it is built exactly as
+// Open would build it (same validation, same IDs, epoch 1) and checkpointed
+// before the call returns. All regular Options apply; WithGroupCommit and
 // WithCheckpointEvery tune the durability itself. Close the handle to
 // checkpoint and release the directory.
 func OpenDurable(dir string, opts ...Option) (*DB, error) {
@@ -183,65 +184,64 @@ func attachDurable(db *DB, dir string, cfg config, every int, applied []wal.Reco
 	return nil
 }
 
-// replayRecords applies a scanned record stream to db through the public
-// mutation path. Records at or below the current epoch are duplicates a
-// crashed log compaction can leave behind and are skipped; an epoch gap or
-// an application verdict that disagrees with the log (wrong ID, failed
-// delete) is corruption and aborts the open — a durable store must never
-// guess. Returns the records actually applied.
+// replayRecords applies a scanned record stream to db as one DB.Apply tick
+// and cross-checks every member against what the log promised. Records at
+// or below the current epoch are duplicates a crashed log compaction can
+// leave behind and are skipped; an epoch gap or an application verdict that
+// disagrees with the log (failed member, wrong assigned ID, wrong final
+// epoch) is corruption and aborts the open — a durable store must never
+// guess. The tick is bounded by the checkpoint interval, which bounds the
+// log tail. Returns the records actually applied.
 func replayRecords(db *DB, recs []wal.Record) ([]wal.Record, error) {
+	cur := db.Version()
 	applied := make([]wal.Record, 0, len(recs))
+	tick := make([]Mutation, 0, len(recs))
 	for _, r := range recs {
-		cur := db.Version()
 		if r.Epoch <= cur {
 			continue
 		}
 		if r.Epoch != cur+1 {
 			return nil, fmt.Errorf("connquery: wal replay: epoch gap: log jumps from %d to %d", cur, r.Epoch)
 		}
-		if err := db.applyRecord(r); err != nil {
+		m, err := recordMutation(r)
+		if err != nil {
 			return nil, err
 		}
+		cur = r.Epoch
 		applied = append(applied, r)
+		tick = append(tick, m)
+	}
+	res, err := db.Apply(tick)
+	if err != nil {
+		return nil, err
+	}
+	for i, mr := range res.Results {
+		if mr.Err != nil {
+			return nil, fmt.Errorf("connquery: wal replay: %s at epoch %d: %w", tick[i].Op, applied[i].Epoch, mr.Err)
+		}
+		if mr.ID != applied[i].ID {
+			return nil, fmt.Errorf("connquery: wal replay: %s assigned ID %d, log recorded %d", tick[i].Op, mr.ID, applied[i].ID)
+		}
+	}
+	if got := db.Version(); got != cur {
+		return nil, fmt.Errorf("connquery: wal replay: epoch %d after applying the log up to epoch %d", got, cur)
 	}
 	return applied, nil
 }
 
-// applyRecord replays one WAL record through the regular mutation path and
-// cross-checks the outcome against what the log promised.
-func (db *DB) applyRecord(r wal.Record) error {
+// recordMutation is the tick member that re-executes one WAL record.
+func recordMutation(r wal.Record) (Mutation, error) {
 	switch r.Op {
 	case wal.OpInsertPoint:
-		pid, err := db.InsertPoint(Pt(r.Coords[0], r.Coords[1]))
-		if err != nil {
-			return fmt.Errorf("connquery: wal replay: insert point: %w", err)
-		}
-		if pid != r.ID {
-			return fmt.Errorf("connquery: wal replay: insert assigned PID %d, log recorded %d", pid, r.ID)
-		}
+		return Mutation{Op: MutInsertPoint, P: Pt(r.Coords[0], r.Coords[1])}, nil
 	case wal.OpDeletePoint:
-		if !db.DeletePoint(r.ID) {
-			return fmt.Errorf("connquery: wal replay: delete of point %d failed", r.ID)
-		}
+		return Mutation{Op: MutDeletePoint, ID: r.ID}, nil
 	case wal.OpInsertObstacle:
-		oid, err := db.InsertObstacle(Rect{MinX: r.Coords[0], MinY: r.Coords[1], MaxX: r.Coords[2], MaxY: r.Coords[3]})
-		if err != nil {
-			return fmt.Errorf("connquery: wal replay: insert obstacle: %w", err)
-		}
-		if oid != r.ID {
-			return fmt.Errorf("connquery: wal replay: insert assigned OID %d, log recorded %d", oid, r.ID)
-		}
+		return Mutation{Op: MutInsertObstacle, R: Rect{MinX: r.Coords[0], MinY: r.Coords[1], MaxX: r.Coords[2], MaxY: r.Coords[3]}}, nil
 	case wal.OpDeleteObstacle:
-		if !db.DeleteObstacle(r.ID) {
-			return fmt.Errorf("connquery: wal replay: delete of obstacle %d failed", r.ID)
-		}
-	default:
-		return fmt.Errorf("connquery: wal replay: unknown op %d", r.Op)
+		return Mutation{Op: MutDeleteObstacle, ID: r.ID}, nil
 	}
-	if got := db.Version(); got != r.Epoch {
-		return fmt.Errorf("connquery: wal replay: epoch %d after applying the record for epoch %d", got, r.Epoch)
-	}
-	return nil
+	return Mutation{}, fmt.Errorf("connquery: wal replay: unknown op %d", r.Op)
 }
 
 // writableLocked is the mutation entry gate. Caller holds db.mu.
@@ -254,33 +254,6 @@ func (db *DB) writableLocked() error {
 		return errors.New("connquery: durable database is closed")
 	}
 	return d.err
-}
-
-// logRecord appends one record for the mutation committing nv, honoring
-// the sync policy. Caller holds db.mu; a failure latches. The record
-// carries nv's epoch, so the log's epoch sequence mirrors the version
-// chain exactly.
-func (d *durableState) logRecord(epoch uint64, r wal.Record) error {
-	r.Epoch = epoch
-	if err := d.w.Append(r); err != nil {
-		d.err = fmt.Errorf("connquery: durable: %w", err)
-		return d.err
-	}
-	d.since++
-	return nil
-}
-
-// logBatch appends one batched tick's record group as a single write (and,
-// in strict mode, a single fsync): either every record in the group is
-// logged or the writer latched and nothing publishes. The caller has
-// already stamped consecutive epochs onto the records. Caller holds db.mu.
-func (d *durableState) logBatch(recs []wal.Record) error {
-	if err := d.w.AppendBatch(recs); err != nil {
-		d.err = fmt.Errorf("connquery: durable: %w", err)
-		return d.err
-	}
-	d.since += len(recs)
-	return nil
 }
 
 // syncLocked forces the log tail to disk, latching on failure — the

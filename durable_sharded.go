@@ -753,7 +753,7 @@ walk:
 		for _, ti := range targets {
 			sc := scans[ti]
 			r := sc.recs[sc.next]
-			if err := s.shards[ti].db.applyRecord(r); err != nil {
+			if _, err := replayRecords(s.shards[ti].db, sc.recs[sc.next:sc.next+1]); err != nil {
 				return nil, fmt.Errorf("connquery: durable: shard %d: %w", ti, err)
 			}
 			sc.applied = append(sc.applied, r)

@@ -23,6 +23,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"connquery/internal/wal"
 )
 
 // recMut is one recorded mutation, replayable onto a fresh instance.
@@ -486,6 +488,121 @@ func TestOpenDurableErrors(t *testing.T) {
 	}
 	if _, err := OpenDurableSharded(sdir, 4, WithBootstrapData(pts, obs)); err == nil {
 		t.Fatal("OpenDurableSharded with bootstrap data on a populated directory succeeded")
+	}
+}
+
+// dirImage reads every regular file of dir, for before/after comparison.
+func dirImage(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := make(map[string]string)
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img[e.Name()] = string(data)
+	}
+	return img
+}
+
+// TestReplayRejectsDivergentLog exercises replay's corruption checks with
+// hand-written WAL tails behind a clean checkpoint: a log that cannot be the
+// record of what the mutation path does — an epoch gap, an insert logged
+// under another ID, a delete of a point that is not live — must fail the
+// open and leave the directory exactly as found (a durable store never
+// guesses, and never compacts a log it could not replay); records at or
+// below the checkpoint epoch are the leftovers of a crashed compaction and
+// are skipped.
+func TestReplayRejectsDivergentLog(t *testing.T) {
+	_, pts, obs := durableWorld(27)
+	far := Pt(-50, -50) // outside the world: inside no obstacle
+	nextPID := int32(len(pts))
+	insPt := func(epoch uint64, id int32) wal.Record {
+		return wal.Record{Op: wal.OpInsertPoint, ID: id, Epoch: epoch, Coords: [4]float64{far.X, far.Y}}
+	}
+	delPt := func(epoch uint64, id int32) wal.Record {
+		return wal.Record{Op: wal.OpDeletePoint, ID: id, Epoch: epoch, Coords: [4]float64{pts[0].X, pts[0].Y}}
+	}
+	cases := []struct {
+		name    string
+		tail    func(ck uint64) []wal.Record // ck = the checkpoint's epoch
+		applied int                          // records a successful open replays; -1 = must fail
+	}{
+		{"epoch gap", func(ck uint64) []wal.Record {
+			return []wal.Record{insPt(ck+1, nextPID), insPt(ck+3, nextPID+1)}
+		}, -1},
+		{"wrong insert ID", func(ck uint64) []wal.Record {
+			return []wal.Record{insPt(ck+1, nextPID), insPt(ck+2, nextPID+7)}
+		}, -1},
+		{"delete of a dead point", func(ck uint64) []wal.Record {
+			return []wal.Record{delPt(ck+1, 0), insPt(ck+2, nextPID), delPt(ck+3, 0)}
+		}, -1},
+		{"duplicate prefix", func(ck uint64) []wal.Record {
+			return []wal.Record{insPt(ck-1, nextPID+3), delPt(ck, 5), delPt(ck+1, 0), insPt(ck+2, nextPID)}
+		}, 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := OpenDurable(dir, WithBootstrapData(pts, obs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.InsertObstacle(R(-30, -30, -20, -20)); err != nil { // checkpoint epoch 2
+				t.Fatal(err)
+			}
+			ck := db.Version()
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tail := tc.tail(ck)
+			w, err := wal.Create(dir, tail[0].Epoch, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.AppendBatch(tail); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirImage(t, dir)
+
+			re, err := OpenDurable(dir)
+			if tc.applied < 0 {
+				if err == nil {
+					t.Fatalf("OpenDurable replayed a divergent log to epoch %d", re.Version())
+				}
+				t.Logf("refused: %v", err)
+				after := dirImage(t, dir)
+				if len(after) != len(before) {
+					t.Fatalf("refused open changed the directory: %d files, was %d", len(after), len(before))
+				}
+				for name, data := range before {
+					if after[name] != data {
+						t.Fatalf("refused open rewrote %s", name)
+					}
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if rs := re.RecoveryStats(); rs.WALRecords != tc.applied || rs.Epoch != ck+uint64(tc.applied) {
+				t.Fatalf("recovery replayed %d records to epoch %d, want %d to epoch %d", rs.WALRecords, rs.Epoch, tc.applied, ck+uint64(tc.applied))
+			}
+			if p, ok := re.PointByID(nextPID); !ok || p != far {
+				t.Fatalf("replayed insert: PointByID(%d) = %v, %v", nextPID, p, ok)
+			}
+			if _, ok := re.PointByID(0); ok {
+				t.Fatal("replayed delete left point 0 live")
+			}
+		})
 	}
 }
 

@@ -11,10 +11,8 @@
 // laptop-minutes. The shape of every reported curve is preserved across
 // scales.
 //
-// Machine-readable hot-path measurements are emitted as BENCH_*.json (see
-// json.go and `connbench -json`): MeasureTable2With times the Table 2
-// default cell through the public DB.Exec path, and cmd/connbench's
-// -baseline/-max-regress flags gate CI on the resulting record — ns/op
-// may drift within a budget, the machine-independent NPE/NOE/|SVG| may
-// not drift at all.
+// The Table 2 default cell's machine-independent metrics are pinned as
+// BENCH_*.json (see json.go and `connbench -json -metrics-baseline`):
+// NPE/NOE/|SVG| may not drift at all. Wall-clock performance is measured by
+// the benchmark/ module, not here.
 package bench

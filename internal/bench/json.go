@@ -13,11 +13,11 @@ import (
 	"connquery/internal/stats"
 )
 
-// BenchResult is one machine-readable benchmark record, emitted as
-// BENCH_<name>.json. The repository tracks the query hot path's trajectory
-// through these files: BENCH_baseline.json pins the numbers before the
-// targeted-search overhaul, and `connbench -json` regenerates a current
-// measurement in the same schema.
+// BenchResult is one machine-readable record of the Table 2 default cell,
+// emitted as BENCH_<name>.json by `connbench -json`. NPE, NOE and |SVG| are
+// machine-independent and pinned exactly (connbench -metrics-baseline); the
+// timing and allocation fields describe the run that wrote the record and
+// are never compared across runs.
 type BenchResult struct {
 	Name        string  `json:"name"`
 	Tool        string  `json:"tool"` // what produced the numbers and how
@@ -35,32 +35,22 @@ type BenchResult struct {
 	Timestamp   string  `json:"timestamp"`
 }
 
-// MeasureTable2Defaults times the paper's default parameter cell (CL, k = 5,
-// ql = 4.5%, |P|/|O| = 1, no buffer). One op is one COkNN query against a
-// prebuilt engine — index construction is excluded, so the number isolates
-// the query hot path this schema exists to track.
-func MeasureTable2Defaults(cfg Config) BenchResult {
-	return MeasureTable2With(cfg,
-		"connbench -json (one op = one COkNN query, index build excluded)",
-		func(w Workload) func(q geom.Segment) stats.QueryMetrics {
-			eng, _ := buildEngine(w, RunConfig{}.withDefaults())
-			return func(q geom.Segment) stats.QueryMetrics {
-				_, m := eng.COkNN(q, DefaultK)
-				return m
-			}
-		})
-}
-
-// MeasureTable2With measures the Table 2 default cell's query workload
-// through an arbitrary runner: open builds the query executor over the
-// prepared workload (an engine, a public DB, a request pipeline, ...), and
-// the returned closure answers one COkNN-cell query and reports its
-// metrics. The workload, query stream, warm-up and allocator accounting are
-// identical to MeasureTable2Defaults, so records produced through different
-// runners are directly comparable — cmd/connbench uses this to measure the
-// public Exec path against the engine-level pinned record.
+// MeasureTable2With measures the paper's default parameter cell (CL, k = 5,
+// ql = 4.5%, |P|/|O| = 1, no buffer) through an arbitrary runner: open
+// builds the query executor over the prepared workload (an engine, a public
+// DB, a sharded router, ...), and the returned closure answers one
+// COkNN-cell query and reports its metrics. Index construction is excluded.
+// The workload, query stream, warm-up and allocator accounting are the same
+// for every runner, so records produced through different runners describe
+// the same query stream.
 func MeasureTable2With(cfg Config, tool string, open func(w Workload) func(q geom.Segment) stats.QueryMetrics) BenchResult {
-	w, queries, cfg := Table2Stream(cfg)
+	cfg = cfg.norm()
+	w := BuildWorkload("CL", cfg.Scale, DefaultRatio, cfg.Seed)
+	rng := rand.New(rand.NewSource(cfg.Seed + 7))
+	queries := make([]geom.Segment, cfg.Queries)
+	for i := range queries {
+		queries[i] = dataset.QuerySegment(rng, DefaultQL, w.Obstacles)
+	}
 	run := open(w)
 	// Warm the pooled query state so steady-state costs are measured, then
 	// snapshot allocator counters around the timed loop.
@@ -95,24 +85,6 @@ func MeasureTable2With(cfg Config, tool string, open func(w Workload) func(q geo
 		SVG:         mean.SVG,
 		Timestamp:   time.Now().UTC().Format(time.RFC3339),
 	}
-}
-
-// Table2Stream prepares the Table 2 default cell's measurement inputs: the
-// CL workload and the cell's query stream, with cfg's zero fields filled
-// the way every Table 2 record fills them. MeasureTable2With and the
-// cache-effectiveness bench (connbench -cache-json) share this one
-// builder, so their records measure the same query stream by construction
-// and stay comparable. The normalized cfg is returned for the record's
-// parameter fields.
-func Table2Stream(cfg Config) (Workload, []geom.Segment, Config) {
-	cfg = cfg.norm()
-	w := BuildWorkload("CL", cfg.Scale, DefaultRatio, cfg.Seed)
-	rng := rand.New(rand.NewSource(cfg.Seed + 7))
-	queries := make([]geom.Segment, cfg.Queries)
-	for i := range queries {
-		queries[i] = dataset.QuerySegment(rng, DefaultQL, w.Obstacles)
-	}
-	return w, queries, cfg
 }
 
 // ReadJSON loads a BenchResult record (e.g. a pinned baseline) from path.

@@ -177,30 +177,6 @@ func QuerySegment(r *rand.Rand, frac float64, avoid []geom.Rect) geom.Segment {
 	}
 }
 
-// QuerySegmentIn is QuerySegment with the start point drawn from within box
-// instead of the whole space — the generator for hot-region workloads where
-// many concurrent trajectories overlap. The same travelability rule
-// applies: segments crossing an obstacle interior are rejected and redrawn,
-// so the caller must pass a box with open space (a box sealed by obstacles
-// would never yield).
-func QuerySegmentIn(r *rand.Rand, frac float64, avoid []geom.Rect, box geom.Rect) geom.Segment {
-	g := newGrid(avoid, 128)
-	length := frac * Side
-	for {
-		a := geom.Pt(box.MinX+r.Float64()*(box.MaxX-box.MinX), box.MinY+r.Float64()*(box.MaxY-box.MinY))
-		theta := r.Float64() * 2 * math.Pi
-		b := geom.Pt(a.X+length*math.Cos(theta), a.Y+length*math.Sin(theta))
-		if !Space().Contains(b) {
-			continue
-		}
-		s := geom.Seg(a, b)
-		if g.blocks(s) {
-			continue
-		}
-		return s
-	}
-}
-
 func clampToSpace(p geom.Point) geom.Point {
 	return geom.Pt(math.Max(0, math.Min(Side, p.X)), math.Max(0, math.Min(Side, p.Y)))
 }

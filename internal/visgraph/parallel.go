@@ -105,6 +105,7 @@ func (g *Graph) linkCornersParallel(ids []int32, rects []geom.Rect) {
 	// Serial apply in batch order: exactly addPoint with the verdict loop
 	// replaced by the precomputed slab.
 	for i := range rects {
+		g.Poll()
 		gBase := 4 * ids[i]
 		for k := 0; k < 4; k++ {
 			m := 4*i + k

@@ -380,6 +380,11 @@ func (g *Graph) AddObstacleID(id int32) {
 // is registered, so AddPoint's candidate test against the full set returns
 // the edge's final verdict directly. Corners are linked in batch order, so
 // surviving edges append in the same chronological order as sequentially.
+//
+// A batch can be thousands of obstacles — seconds of work — so the serial
+// loops poll for cancellation once per rectangle. An abort leaves the graph
+// half-updated; the query state that owns it resets the graph before its
+// next use.
 func (g *Graph) AddObstacleIDs(ids []int32) {
 	if len(ids) == 0 {
 		return
@@ -417,6 +422,7 @@ func (g *Graph) AddObstacleIDs(ids []int32) {
 		g.invalidateEdgesParallel(rects)
 	} else {
 		for _, r := range rects {
+			g.Poll()
 			g.invalidateEdges(r)
 		}
 	}
@@ -437,6 +443,7 @@ func (g *Graph) AddObstacleIDs(ids []int32) {
 		return
 	}
 	for i, r := range rects {
+		g.Poll()
 		gBase := 4 * ids[i]
 		for k, c := range r.Vertices() {
 			g.addPoint(c, KindCorner, gBase+int32(k))

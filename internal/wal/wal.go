@@ -348,52 +348,20 @@ func Create(dir string, nextEpoch uint64, opts Options) (*Writer, error) {
 	return w, nil
 }
 
-// Append logs one record. In strict mode (zero SyncWindow) the record is
-// durable when Append returns; in group mode it is durable within one
-// window. Errors are sticky: once an append or sync fails, the log refuses
-// further records, and the durable tier above fails its writer the same way.
-func (w *Writer) Append(r Record) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	if r.Epoch <= w.lastEpoch {
-		return w.fail(fmt.Errorf("wal: non-monotonic epoch %d after %d", r.Epoch, w.lastEpoch))
-	}
-	if w.size >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(r.Epoch); err != nil {
-			return w.fail(err)
-		}
-	}
-	buf := AppendFrame(nil, r)
-	if _, err := w.f.Write(buf); err != nil {
-		return w.fail(err)
-	}
-	w.size += int64(len(buf))
-	w.lastEpoch = r.Epoch
-	if w.opts.SyncWindow == 0 {
-		if err := w.f.Sync(); err != nil {
-			return w.fail(err)
-		}
-		return nil
-	}
-	w.dirty = true
-	select {
-	case w.syncReq <- struct{}{}:
-	default:
-	}
-	return nil
-}
+// Append logs one record: AppendBatch of one. In strict mode (zero
+// SyncWindow) the record is durable when Append returns; in group mode it is
+// durable within one window.
+func (w *Writer) Append(r Record) error { return w.AppendBatch([]Record{r}) }
 
 // AppendBatch logs a group of records as one physical write and — in strict
-// mode — one fsync, the durability half of a batched commit: either the
-// whole group is durable when AppendBatch returns, or the writer failed and
-// nothing published. Epochs must be strictly increasing across the group
-// and past the writer's last epoch, exactly as if each record had been
-// Appended individually; recovery cannot tell the difference. In group-
-// commit mode the frames buffer like any other append and the window syncer
-// covers them. An empty batch is a no-op.
+// mode — one fsync, the durability half of a commit: either the whole group
+// is durable when AppendBatch returns, or the writer failed and nothing
+// published. Epochs must be strictly increasing across the group and past
+// the writer's last epoch; recovery cannot tell how records were grouped. In
+// group-commit mode the frames buffer and the window syncer covers them, so
+// a crash can lose up to one window of log tail. Errors are sticky: once an
+// append or sync fails, the log refuses further records, and the durable
+// tier above fails its writer the same way. An empty batch is a no-op.
 func (w *Writer) AppendBatch(recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -406,7 +374,7 @@ func (w *Writer) AppendBatch(recs []Record) error {
 	last := w.lastEpoch
 	for _, r := range recs {
 		if r.Epoch <= last {
-			return w.fail(fmt.Errorf("wal: non-monotonic epoch %d after %d in batch", r.Epoch, last))
+			return w.fail(fmt.Errorf("wal: non-monotonic epoch %d after %d", r.Epoch, last))
 		}
 		last = r.Epoch
 	}

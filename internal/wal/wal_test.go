@@ -503,3 +503,61 @@ func TestAppendBatchDirty(t *testing.T) {
 		t.Fatal("Sync left the log dirty")
 	}
 }
+
+// TestAppendIsBatchOfOne pins the one-write-path contract: Append(r) and
+// AppendBatch([]Record{r}) leave byte-identical segments (rotation points
+// included) and the same sync state — clean on return in strict mode, dirty
+// until a Sync under a group-commit window.
+func TestAppendIsBatchOfOne(t *testing.T) {
+	recs := someRecords(40, 3)
+	for _, opts := range []Options{
+		{SegmentBytes: 256},
+		{SegmentBytes: 256, SyncWindow: time.Minute},
+	} {
+		segments := func(appendOne func(*Writer, Record) error) map[string]string {
+			t.Helper()
+			dir := t.TempDir()
+			w, err := Create(dir, recs[0].Epoch, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				if err := appendOne(w, r); err != nil {
+					t.Fatal(err)
+				}
+				if strict := opts.SyncWindow == 0; w.Dirty() == strict {
+					t.Fatalf("window %v: log dirty=%v after appending epoch %d", opts.SyncWindow, w.Dirty(), r.Epoch)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			names, err := listSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make(map[string]string)
+			for _, name := range names {
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out[name] = string(data)
+			}
+			return out
+		}
+		single := segments(func(w *Writer, r Record) error { return w.Append(r) })
+		batched := segments(func(w *Writer, r Record) error { return w.AppendBatch([]Record{r}) })
+		if len(single) < 2 {
+			t.Fatalf("expected several segments with a 256-byte roll threshold, got %d", len(single))
+		}
+		if len(single) != len(batched) {
+			t.Fatalf("window %v: Append wrote %d segments, AppendBatch of one %d", opts.SyncWindow, len(single), len(batched))
+		}
+		for name, data := range single {
+			if batched[name] != data {
+				t.Fatalf("window %v: segment %s differs between Append and AppendBatch of one", opts.SyncWindow, name)
+			}
+		}
+	}
+}

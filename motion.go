@@ -62,7 +62,7 @@ type motionTable struct {
 	n    atomic.Int32
 
 	// ver is the epoch of the last commit that rewrote the registry
-	// (applyAt/forgetAt). horizon refuses to stamp an answer whose epoch is
+	// (applyAt). horizon refuses to stamp an answer whose epoch is
 	// below ver: the table would be newer than the answer (see the file
 	// header for why that is unsound).
 	ver uint64
@@ -83,74 +83,41 @@ const horizonMemoCap = 256
 // empty reports whether no object is tracked, without taking the lock.
 func (mt *motionTable) empty() bool { return mt.n.Load() == 0 }
 
-// set registers (or re-registers) a tracked object.
-func (mt *motionTable) set(pid int32, e motionEntry) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	mt.setLocked(pid, e)
-}
-
-func (mt *motionTable) setLocked(pid int32, e motionEntry) {
-	if mt.objs == nil {
-		mt.objs = make(map[int32]motionEntry)
-	}
-	if _, ok := mt.objs[pid]; !ok {
-		mt.n.Add(1)
-	}
-	mt.objs[pid] = e
-	mt.memo = nil
-}
-
-// forget drops a tracked object (no-op when untracked). Deletions only ever
-// lengthen horizons, so outstanding stamped answers stay sound.
-func (mt *motionTable) forget(pid int32) {
-	if mt.empty() {
-		return
-	}
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	mt.forgetLocked(pid)
-}
-
-func (mt *motionTable) forgetLocked(pid int32) bool {
-	if _, ok := mt.objs[pid]; !ok {
-		return false
-	}
-	delete(mt.objs, pid)
-	mt.n.Add(-1)
-	mt.memo = nil
-	return true
-}
-
-// applyAt applies one committed batch's registry edits and re-keys the
-// table at the committing epoch, atomically with respect to horizon reads.
-// The caller (commit, under DB.mu) invokes it before publishing the epoch,
-// so a stamp at the new epoch always sees the post-tick table.
+// applyAt applies one committed tick's registry edits — the registry's only
+// mutator — and, when any of them changed the table, re-keys it at the
+// committing epoch, atomically with respect to horizon reads. The caller
+// (commit, under DB.mu) invokes it before publishing the epoch, so a stamp
+// at the new epoch always sees the post-tick table. Forgetting an untracked
+// object is no edit; deletions only ever lengthen horizons, so outstanding
+// stamped answers stay sound.
 func (mt *motionTable) applyAt(updates []motionUpdate, epoch uint64) {
 	if len(updates) == 0 {
 		return
 	}
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
+	edited := false
 	for _, u := range updates {
-		if u.forget {
-			mt.forgetLocked(u.pid)
-		} else {
-			mt.setLocked(u.pid, u.entry)
+		_, tracked := mt.objs[u.pid]
+		switch {
+		case !u.forget:
+			if mt.objs == nil {
+				mt.objs = make(map[int32]motionEntry)
+			}
+			if !tracked {
+				mt.n.Add(1)
+			}
+			mt.objs[u.pid] = u.entry
+		case tracked:
+			delete(mt.objs, u.pid)
+			mt.n.Add(-1)
+		default:
+			continue
 		}
+		edited = true
 	}
-	mt.ver = epoch
-}
-
-// forgetAt drops a tracked object at the deleting commit's epoch (no-op
-// when untracked).
-func (mt *motionTable) forgetAt(pid int32, epoch uint64) {
-	if mt.empty() {
-		return
-	}
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	if mt.forgetLocked(pid) {
+	if edited {
+		mt.memo = nil
 		mt.ver = epoch
 	}
 }

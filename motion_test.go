@@ -48,7 +48,7 @@ func TestMotionHorizonMath(t *testing.T) {
 
 	// One tracked object 10 units left of the rect at 2 u/s: first touch at
 	// base+5s, anchored at the declaration time, not at stamping time.
-	mt.set(1, motionEntry{pos: Pt(0, 5), speed: 2, at: base})
+	mt.applyAt([]motionUpdate{{pid: 1, entry: motionEntry{pos: Pt(0, 5), speed: 2, at: base}}}, 1)
 	want := base.Add(5 * time.Second)
 	if h := mt.horizon(rg, 1); !h.Equal(want) {
 		t.Fatalf("single-entry horizon %v, want %v", h, want)
@@ -56,28 +56,28 @@ func TestMotionHorizonMath(t *testing.T) {
 
 	// The nearest-in-time object bounds the answer: 2 units away at 4 u/s
 	// touches first.
-	mt.set(2, motionEntry{pos: Pt(8, 5), speed: 4, at: base})
+	mt.applyAt([]motionUpdate{{pid: 2, entry: motionEntry{pos: Pt(8, 5), speed: 4, at: base}}}, 1)
 	want = base.Add(500 * time.Millisecond)
 	if h := mt.horizon(rg, 1); !h.Equal(want) {
 		t.Fatalf("min-entry horizon %v, want %v", h, want)
 	}
 
 	// An object already inside the rect voids the horizon entirely.
-	mt.set(3, motionEntry{pos: Pt(15, 5), speed: 1, at: base})
+	mt.applyAt([]motionUpdate{{pid: 3, entry: motionEntry{pos: Pt(15, 5), speed: 1, at: base}}}, 1)
 	if h := mt.horizon(rg, 1); !h.IsZero() {
 		t.Fatalf("inside-the-rect entry left horizon %v", h)
 	}
-	mt.forget(3)
+	mt.applyAt([]motionUpdate{{pid: 3, forget: true}}, 1)
 	if h := mt.horizon(rg, 1); !h.Equal(want) {
 		t.Fatalf("horizon after forget %v, want %v", h, want)
 	}
 
 	// A non-positive declared speed is an unbounded object: no horizon.
-	mt.set(4, motionEntry{pos: Pt(0, 50), speed: 0, at: base})
+	mt.applyAt([]motionUpdate{{pid: 4, entry: motionEntry{pos: Pt(0, 50), speed: 0, at: base}}}, 1)
 	if h := mt.horizon(rg, 1); !h.IsZero() {
 		t.Fatalf("zero-speed entry left horizon %v", h)
 	}
-	mt.forget(4)
+	mt.applyAt([]motionUpdate{{pid: 4, forget: true}}, 1)
 
 	// Point motion cannot affect a point-insensitive region.
 	if h := mt.horizon(anscache.Region{Rect: R(10, 0, 20, 10), Obstacles: true}, 1); !h.IsZero() {
@@ -86,14 +86,14 @@ func TestMotionHorizonMath(t *testing.T) {
 
 	// Crawling speeds clamp at maxHorizon instead of overflowing.
 	mt2 := &motionTable{}
-	mt2.set(1, motionEntry{pos: Pt(0, 5), speed: 1e-300, at: base})
+	mt2.applyAt([]motionUpdate{{pid: 1, entry: motionEntry{pos: Pt(0, 5), speed: 1e-300, at: base}}}, 1)
 	if h := mt2.horizon(rg, 1); !h.Equal(base.Add(maxHorizon)) {
 		t.Fatalf("near-zero speed horizon %v, want the %v clamp", h, maxHorizon)
 	}
 }
 
 // TestMotionRegistryEpochGate pins the stamp-consistency rule: commit-path
-// edits (applyAt, forgetAt) re-key the registry at the committing epoch, and
+// edits (applyAt) re-key the registry at the committing epoch, and
 // horizon refuses to stamp any answer older than that key — the table could
 // hide that an object sat inside the answer's region before the rewrite.
 func TestMotionRegistryEpochGate(t *testing.T) {
@@ -121,8 +121,8 @@ func TestMotionRegistryEpochGate(t *testing.T) {
 	if h := mt.horizon(rg, 8); !h.Equal(base.Add(500 * time.Millisecond)) {
 		t.Fatalf("post-rewrite horizon %v, want %v", h, base.Add(500*time.Millisecond))
 	}
-	// A sequential-path delete re-keys too.
-	mt.forgetAt(2, 9)
+	// A tick that only forgets re-keys too.
+	mt.applyAt([]motionUpdate{{pid: 2, forget: true}}, 9)
 	if h := mt.horizon(rg, 8); !h.IsZero() {
 		t.Fatalf("epoch-8 answer stamped %v after an epoch-9 deletion", h)
 	}
@@ -130,7 +130,7 @@ func TestMotionRegistryEpochGate(t *testing.T) {
 		t.Fatalf("post-deletion horizon %v, want %v", h, want)
 	}
 	// Forgetting an untracked object neither edits nor re-keys.
-	mt.forgetAt(42, 11)
+	mt.applyAt([]motionUpdate{{pid: 42, forget: true}}, 11)
 	if h := mt.horizon(rg, 9); !h.Equal(want) {
 		t.Fatalf("no-op forget re-keyed the registry: %v", h)
 	}

@@ -1,16 +1,10 @@
 package connquery
 
-import (
-	"fmt"
-	"math"
+import "math"
 
-	"connquery/internal/core"
-	"connquery/internal/rtree"
-	"connquery/internal/wal"
-)
-
-// Mutation support with snapshot isolation. Every mutation serializes on the
-// DB's writer lock, builds a new immutable version from the current one —
+// Mutation support with snapshot isolation. Every mutation — the four unary
+// ops below are one-member DB.Apply ticks — serializes on the DB's writer
+// lock, builds a new immutable version from the current one (apply.go) —
 // copy-on-write R*-tree (only the nodes on the touched root-to-leaf paths
 // are duplicated), shared point/obstacle storage, copy-on-write tombstone
 // maps — and publishes it with a single atomic pointer swap. Queries load
@@ -65,118 +59,20 @@ func cloneTombs(m map[int32]bool, add int32) map[int32]bool {
 	return nm
 }
 
-// beginVersion starts a successor of v sharing all of its structure. The
-// caller overwrites the fields it changes and must publish via db.publish.
-func beginVersion(v *version) *version {
-	return &version{
-		epoch:      v.epoch + 1,
-		points:     v.points,
-		obstacles:  v.obstacles,
-		deletedPts: v.deletedPts,
-		deletedObs: v.deletedObs,
-	}
-}
-
-// publish makes nv the DB's current version and wakes the Watch
-// subscriptions whose answer the committing change box could have altered
-// (watchSet.notify filters against each watcher's impact region). Callers
-// hold db.mu, so publishes (and therefore watcher wake-ups) are ordered;
-// wake-ups are non-blocking and coalesce per watcher.
-func (db *DB) publish(nv *version, change Rect, points bool) {
-	db.cur.Store(nv)
-	db.watch.notify(change, points)
-}
-
-// commit applies one mutation's impact to the answer cache, then publishes.
-// change is the mutation's change box (the inserted/deleted object's own
-// bounds) and points reports whether it touched the point set (vs the
-// obstacle set). Instead of a blanket epoch bump, only cache entries whose
-// conservative impact region intersects the change box are invalidated;
-// every other live entry is promoted to nv's epoch, so hot requests — and
-// Watch subscriptions, which re-resolve through the cache — keep hitting
-// across unrelated writes. Invalidation runs before the version swap (both
-// under db.mu, so mutations apply to the cache in commit order); the
-// ordering is not load-bearing for correctness, because a lookup only hits
-// an entry whose validity range covers the queried epoch, but it means a
-// watcher woken by this publish finds its promoted entry already in place.
-//
-// On a durable handle the mutation's WAL record is appended — and, in
-// strict mode or under WithSyncAck, fsynced — before any of that: an error
-// means nothing was published and the caller must discard nv (the orphaned
-// array append is harmless; the next insert at this epoch overwrites the
-// same slot).
-func (db *DB) commit(v, nv *version, change Rect, points bool, rec wal.Record) error {
-	if db.dur != nil {
-		if err := db.dur.logRecord(nv.epoch, rec); err != nil {
-			return err
-		}
-		if db.cfg.syncAck {
-			if err := db.dur.syncLocked(); err != nil {
-				return err
-			}
-		}
-	}
-	db.cache.Invalidate(v.epoch, nv.epoch, change, points)
-	// A plain mutation is never a motion-bounded tick (only DB.Apply can
-	// prove speed compliance), so it bounds every outstanding validity
-	// horizon. Store before the version swap: a watcher that observes the
-	// new epoch must also observe the bound.
-	db.lastUnbounded.Store(nv.epoch)
-	db.publish(nv, change, points)
-	if db.dur != nil {
-		db.maybeCheckpointLocked(nv)
-	}
-	return nil
-}
-
 // pointBox is the change box of a point mutation.
 func pointBox(p Point) Rect {
 	return Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
 }
 
-// mutateTree builds nv's engine from v's: the tree holding items of the
-// given kind is copy-on-write cloned and mutated by fn, the other tree
-// handle is shared untouched. I/O accounting is detached while fn runs —
-// structural page writes are not part of the paper's query cost model, and
-// skipping the recorder keeps the writer off the (unsynchronized) LRU
-// buffer while readers use it. Counters, options and the shared query-state
-// pool carry over so metrics and warm scratch survive across versions.
-// mutateTree returns fn's verdict; on false the caller must discard nv.
-func (db *DB) mutateTree(v, nv *version, kind rtree.Kind, fn func(*rtree.Tree) bool) bool {
-	old := v.eng
-	eng := &core.Engine{
-		Obstacles: nv.obstacles,
-		// The kernel is shared when the obstacle slice did not grow (point
-		// mutations, deletions — tombstoned obstacles stay in the kernel
-		// harmlessly, queries never mark them) and extended otherwise;
-		// Extend itself shares the BVH until the appended tail outgrows it.
-		Kernel:      old.Kernel.Extend(nv.obstacles),
-		Opts:        db.cfg.tuning,
-		Epoch:       nv.epoch,
-		States:      db.states,
-		DataCounter: old.DataCounter,
-		ObstCounter: old.ObstCounter,
+// applyOne commits m as a one-member tick and returns the member's verdict:
+// the durable tier's error when the handle is unwritable or latched, else
+// the member's own validation failure.
+func (db *DB) applyOne(m Mutation) (int32, error) {
+	res, err := db.Apply([]Mutation{m})
+	if err != nil {
+		return 0, err
 	}
-	cow := func(t *rtree.Tree, rec rtree.AccessRecorder) (*rtree.Tree, bool) {
-		nt := t.CloneCOW()
-		nt.SetAccessRecorder(nil)
-		ok := fn(nt)
-		nt.SetAccessRecorder(rec)
-		return nt, ok
-	}
-	var ok bool
-	switch {
-	case old.OneTree():
-		eng.Unified, ok = cow(old.Unified, old.DataCounter)
-	case kind == rtree.KindPoint:
-		eng.Data, ok = cow(old.Data, old.DataCounter)
-		eng.Obst = old.Obst
-	default:
-		eng.Obst, ok = cow(old.Obst, old.ObstCounter)
-		eng.Data = old.Data
-	}
-	nv.eng = eng
-	return ok
+	return res.Results[0].ID, res.Results[0].Err
 }
 
 // InsertPoint adds a data point and returns its PID. The point must not lie
@@ -184,131 +80,26 @@ func (db *DB) mutateTree(v, nv *version, kind rtree.Kind, fn func(*rtree.Tree) b
 // that start after InsertPoint returns; in-flight queries and existing
 // clones keep their snapshot.
 func (db *DB) InsertPoint(p Point) (int32, error) {
-	if !validPoint(p) {
-		return 0, fmt.Errorf("connquery: invalid point %v", p)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writableLocked(); err != nil {
-		return 0, err
-	}
-	v := db.current()
-	for _, o := range v.obstaclesNear(p) {
-		if o.ContainsOpen(p) {
-			return 0, fmt.Errorf("connquery: point %v lies strictly inside obstacle %v", p, o)
-		}
-	}
-	pid := int32(len(v.points))
-	nv := beginVersion(v)
-	if !db.ownPts {
-		nv.points = grownCopy(v.points)
-		db.ownPts = true
-	}
-	// Appending in place is safe even while older versions are being read:
-	// they only ever index their own shorter prefix of the shared array.
-	nv.points = append(nv.points, p)
-	db.mutateTree(v, nv, rtree.KindPoint, func(t *rtree.Tree) bool {
-		t.Insert(rtree.PointItem(pid, p))
-		return true
-	})
-	rec := wal.Record{Op: wal.OpInsertPoint, ID: pid, Coords: [4]float64{p.X, p.Y}}
-	if err := db.commit(v, nv, pointBox(p), true, rec); err != nil {
-		return 0, err
-	}
-	return pid, nil
+	return db.applyOne(Mutation{Op: MutInsertPoint, P: p})
 }
 
 // DeletePoint removes the point with the given PID. It reports whether the
 // point existed (deleting twice returns false).
 func (db *DB) DeletePoint(pid int32) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.writableLocked() != nil {
-		return false
-	}
-	v := db.current()
-	if pid < 0 || int(pid) >= len(v.points) || v.deletedPts[pid] {
-		return false
-	}
-	nv := beginVersion(v)
-	nv.deletedPts = cloneTombs(v.deletedPts, pid)
-	if !db.mutateTree(v, nv, rtree.KindPoint, func(t *rtree.Tree) bool {
-		return t.Delete(rtree.PointItem(pid, v.points[pid]))
-	}) {
-		return false
-	}
-	p := v.points[pid]
-	rec := wal.Record{Op: wal.OpDeletePoint, ID: pid, Coords: [4]float64{p.X, p.Y}}
-	if db.commit(v, nv, pointBox(p), true, rec) != nil {
-		return false
-	}
-	db.motion.forgetAt(pid, nv.epoch)
-	return true
+	_, err := db.applyOne(Mutation{Op: MutDeletePoint, ID: pid})
+	return err == nil
 }
 
 // InsertObstacle adds an obstacle and returns its ID. The rectangle must
 // have strictly positive width and height (the same rule Open enforces) and
 // no existing data point may lie strictly inside it.
 func (db *DB) InsertObstacle(r Rect) (int32, error) {
-	if !validRect(r) {
-		return 0, fmt.Errorf("connquery: invalid obstacle %v (must be finite with positive width and height)", r)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.writableLocked(); err != nil {
-		return 0, err
-	}
-	v := db.current()
-	var blocked *int32
-	v.pointTree().View(nil).Search(r, func(it rtree.Item) bool {
-		if it.Kind == rtree.KindPoint && r.ContainsOpen(it.Point()) {
-			id := it.ID
-			blocked = &id
-			return false
-		}
-		return true
-	})
-	if blocked != nil {
-		return 0, fmt.Errorf("connquery: obstacle %v would swallow point %d", r, *blocked)
-	}
-	oid := int32(len(v.obstacles))
-	nv := beginVersion(v)
-	if !db.ownObs {
-		nv.obstacles = grownCopy(v.obstacles)
-		db.ownObs = true
-	}
-	nv.obstacles = append(nv.obstacles, r)
-	db.mutateTree(v, nv, rtree.KindObstacle, func(t *rtree.Tree) bool {
-		t.Insert(rtree.ObstacleItem(oid, r))
-		return true
-	})
-	rec := wal.Record{Op: wal.OpInsertObstacle, ID: oid, Coords: [4]float64{r.MinX, r.MinY, r.MaxX, r.MaxY}}
-	if err := db.commit(v, nv, r, false, rec); err != nil {
-		return 0, err
-	}
-	return oid, nil
+	return db.applyOne(Mutation{Op: MutInsertObstacle, R: r})
 }
 
 // DeleteObstacle removes the obstacle with the given ID. It reports whether
 // the obstacle existed.
 func (db *DB) DeleteObstacle(oid int32) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.writableLocked() != nil {
-		return false
-	}
-	v := db.current()
-	if oid < 0 || int(oid) >= len(v.obstacles) || v.deletedObs[oid] {
-		return false
-	}
-	nv := beginVersion(v)
-	nv.deletedObs = cloneTombs(v.deletedObs, oid)
-	if !db.mutateTree(v, nv, rtree.KindObstacle, func(t *rtree.Tree) bool {
-		return t.Delete(rtree.ObstacleItem(oid, v.obstacles[oid]))
-	}) {
-		return false
-	}
-	o := v.obstacles[oid]
-	rec := wal.Record{Op: wal.OpDeleteObstacle, ID: oid, Coords: [4]float64{o.MinX, o.MinY, o.MaxX, o.MaxY}}
-	return db.commit(v, nv, o, false, rec) == nil
+	_, err := db.applyOne(Mutation{Op: MutDeleteObstacle, ID: oid})
+	return err == nil
 }

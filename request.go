@@ -19,9 +19,8 @@ import (
 // answers is a first-class Request value executed by one path —
 // DB.Exec(ctx, req, opts...) — that handles validation, version resolution
 // (AtVersion / AtSnapshot), per-query tuning, worker pooling and context
-// cancellation uniformly. The legacy per-query methods (CONN, COkNN, ONN,
-// ...) survive as thin deprecated shims in legacy.go; DB.Watch (watch.go)
-// re-executes a Request against every freshly published MVCC version.
+// cancellation uniformly. DB.Watch (watch.go) re-executes a Request against
+// every freshly published MVCC version.
 
 // Typed errors returned by Exec and the snapshot machinery. Wrap-aware:
 // test with errors.Is.

@@ -399,9 +399,12 @@ func (s *ShardedDB) buildMirror(m *unionMirror) error {
 	return nil
 }
 
-// catchUpMirror replays router log entries [nextLog, upTo) filtered to the
-// mirror's block. Replayed mutations cannot fail: the global commit already
-// validated them on worlds that contain the mirror's.
+// catchUpMirror replays router log entries [nextLog, upTo), filtered to the
+// mirror's block, as one DB.Apply tick. Replayed mutations cannot fail — the
+// global commit already validated them on worlds that contain the mirror's
+// — so the local IDs the tick will assign are known up front (the next free
+// slots), which lets a delete address an object inserted earlier in the same
+// tick; the tick's results are then held against that prediction.
 func (s *ShardedDB) catchUpMirror(m *unionMirror, upTo int) error {
 	if m.nextLog >= upTo {
 		return nil
@@ -412,35 +415,47 @@ func (s *ShardedDB) catchUpMirror(m *unionMirror, upTo int) error {
 	if upTo > len(log) {
 		upTo = len(log)
 	}
-	for m.nextLog < upTo {
-		e := log[m.nextLog]
-		m.nextLog++
+	nextP := int32(len(m.l2gP))
+	nextO := int32(len(m.db.current().obstacles))
+	var tick []Mutation
+	var want []int32 // local ID each member must report
+	add := func(mu Mutation, lid int32) { tick, want = append(tick, mu), append(want, lid) }
+	for _, e := range log[m.nextLog:upTo] {
 		switch e.op {
 		case opInsPt:
 			if c, r := s.m.cellCoords(e.p); m.span.contains(c, r) {
-				lid, err := m.db.InsertPoint(e.p)
-				if err != nil {
-					return errors.New("connquery: internal: mirror point replay diverged: " + err.Error())
-				}
-				m.g2lP[e.gid] = lid
+				add(Mutation{Op: MutInsertPoint, P: e.p}, nextP)
+				m.g2lP[e.gid] = nextP
 				m.l2gP = append(m.l2gP, e.gid)
+				nextP++
 			}
 		case opDelPt:
 			if lid, ok := m.g2lP[e.gid]; ok {
-				m.db.DeletePoint(lid)
+				add(Mutation{Op: MutDeletePoint, ID: lid}, lid)
 			}
 		case opInsObs:
 			if e.r.Intersects(m.rect) {
-				lid, err := m.db.InsertObstacle(e.r)
-				if err != nil {
-					return errors.New("connquery: internal: mirror obstacle replay diverged: " + err.Error())
-				}
-				m.g2lO[e.gid] = lid
+				add(Mutation{Op: MutInsertObstacle, R: e.r}, nextO)
+				m.g2lO[e.gid] = nextO
+				nextO++
 			}
 		case opDelObs:
 			if lid, ok := m.g2lO[e.gid]; ok {
-				m.db.DeleteObstacle(lid)
+				add(Mutation{Op: MutDeleteObstacle, ID: lid}, lid)
 			}
+		}
+	}
+	m.nextLog = upTo
+	res, err := m.db.Apply(tick)
+	if err != nil {
+		return err
+	}
+	for i, mr := range res.Results {
+		if mr.Err != nil {
+			return fmt.Errorf("connquery: internal: mirror %s replay diverged: %w", tick[i].Op, mr.Err)
+		}
+		if mr.ID != want[i] {
+			return fmt.Errorf("connquery: internal: mirror %s replay diverged: assigned local ID %d, expected %d", tick[i].Op, mr.ID, want[i])
 		}
 	}
 	return nil

@@ -2,17 +2,20 @@ package connquery
 
 import (
 	"context"
+
+	"connquery/internal/anscache"
 )
 
 // Sharded watches. Semantics match DB.Watch — first Update at the revision
 // current at subscribe time, re-execution after commits with coalescing,
-// strictly increasing delivered revisions, identical error/close behavior.
-// The impact-region wake filter (watcher/watchSet, shared with the
-// single-node implementation in watch.go) originated here: commits only
-// wake the watchers whose answer's impact region (the widened region proven
-// sufficient for cache invalidation) the change box intersects. A watcher
-// whose region a mutation misses provably keeps its exact answer, so the
-// skipped wake-up is unobservable except as fewer redundant deliveries.
+// strictly increasing delivered revisions, identical error/close behavior —
+// because both run the one loop in watch.go; the router only supplies its
+// head (the revision) and its way of executing there. The impact-region wake
+// filter originated here: commits only wake the watchers whose answer's
+// impact region (the widened region proven sufficient for cache
+// invalidation) the change box intersects. A watcher whose region a mutation
+// misses provably keeps its exact answer, so the skipped wake-up is
+// unobservable except as fewer redundant deliveries.
 
 // WatchStats returns the wake-filter counters for the router's watchers.
 func (s *ShardedDB) WatchStats() WatchStats { return s.watch.stats() }
@@ -23,77 +26,13 @@ func (s *ShardedDB) WatchStats() WatchStats { return s.watch.stats() }
 // watch's answers at the same revisions; only redundant deliveries (updates
 // whose mutation provably could not change the answer) may be skipped.
 func (s *ShardedDB) Watch(ctx context.Context, req Request, opts ...QueryOption) (<-chan Update, error) {
-	if req == nil {
-		return nil, ErrNilRequest
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	var xo execOptions
-	for _, o := range opts {
-		o(&xo)
-	}
-	if xo.pinned() {
-		return nil, ErrPinnedWatch
-	}
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	out := make(chan Update)
-	w := s.watch.add()
-	go s.watchLoop(ctx, req, &xo, out, w)
-	return out, nil
+	return startWatch(ctx, &s.watch, s, req, opts)
 }
 
-// watchLoop is the sharded per-subscription goroutine, mirroring
-// DB.watchLoop with the router cut in place of the MVCC version.
-func (s *ShardedDB) watchLoop(ctx context.Context, req Request, xo *execOptions, out chan<- Update, w *watcher) {
-	defer close(out)
-	defer s.watch.remove(w)
-	var prev *Answer
-	var prevRev uint64
-	for {
-		cut := s.liveCut()
-		if prev == nil || cut.rev > prevRev {
-			ans, region, err := s.execRouted(ctx, req, xo, cut)
-			if err != nil {
-				if ctx.Err() != nil {
-					return // cancelled mid-execution: close without an errored update
-				}
-				select {
-				case out <- Update{Epoch: cut.rev, Err: err}:
-				case <-ctx.Done():
-				}
-				return
-			}
-			// Stamp deliveries with the answer's own revision, not the cut's:
-			// a live single-shard execution slides forward when a commit on
-			// the target shard overtakes the cut (see spanWorld), and the
-			// delivered epoch must match the data it reflects.
-			select {
-			case out <- Update{Epoch: ans.Epoch(), Answer: ans, Delta: answerDelta(prev, ans)}:
-			case <-ctx.Done():
-				return
-			}
-			prev = ans
-			prevRev = ans.Epoch()
-			w.setRegion(region)
-			// Close the missed-wake race: while this re-execution ran,
-			// notify filtered commits against the *previous* answer's region,
-			// so a mutation intersecting only the new region queued no wake.
-			// The new region is installed now; re-check the revision directly
-			// instead of trusting the wake channel, and go around again if
-			// anything committed meanwhile. Commits landing after this check
-			// are filtered against the region just installed, so their wakes
-			// (the channel holds one token) cannot be lost.
-			if s.liveCut().rev > prevRev {
-				continue
-			}
-		}
-		select {
-		case <-w.wake:
-		case <-ctx.Done():
-			return
-		}
-	}
+func (s *ShardedDB) execHead(ctx context.Context, req Request, xo *execOptions) (*Answer, anscache.Region, error) {
+	return s.execRouted(ctx, req, xo, s.liveCut())
 }
+
+// horizonHolds is constant false: the sharded tier tracks no motion, so
+// every revision past an answer may have changed it.
+func (s *ShardedDB) horizonHolds(*Answer) bool { return false }

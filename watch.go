@@ -193,6 +193,35 @@ func (db *DB) WatchStats() WatchStats { return db.watch.stats() }
 // (AtVersion/AtSnapshot) are rejected with ErrPinnedWatch, since a watch
 // follows the live chain by definition.
 func (db *DB) Watch(ctx context.Context, req Request, opts ...QueryOption) (<-chan Update, error) {
+	return startWatch(ctx, &db.watch, db, req, opts)
+}
+
+// execHead executes req at the current version and derives the answer's
+// wake region, the widened impact region cache invalidation uses.
+func (db *DB) execHead(ctx context.Context, req Request, xo *execOptions) (*Answer, anscache.Region, error) {
+	ans, err := db.execAt(ctx, req, db.current(), xo)
+	if err != nil {
+		return nil, anscache.Region{}, err
+	}
+	return ans, widenRegion(impactRegion(req, ans.value), req, ans.metrics.Reach), nil
+}
+
+// watchBackend is what the watch loop needs from the database it follows:
+// the single-node DB (head = MVCC epoch) or the sharded router (head =
+// router revision).
+type watchBackend interface {
+	// Version returns the head epoch.
+	Version() uint64
+	// execHead executes req at the head — or later, never earlier — and
+	// returns the answer with the region a commit must hit to change it.
+	execHead(ctx context.Context, req Request, xo *execOptions) (*Answer, anscache.Region, error)
+	// horizonHolds reports whether prev is provably still the answer at the
+	// head although commits followed it.
+	horizonHolds(prev *Answer) bool
+}
+
+// startWatch validates a subscription and starts its loop.
+func startWatch(ctx context.Context, ws *watchSet, b watchBackend, req Request, opts []QueryOption) (<-chan Update, error) {
 	if req == nil {
 		return nil, ErrNilRequest
 	}
@@ -210,55 +239,60 @@ func (db *DB) Watch(ctx context.Context, req Request, opts ...QueryOption) (<-ch
 		return nil, err
 	}
 	out := make(chan Update)
-	w := db.watch.add()
-	go db.watchLoop(ctx, req, &xo, out, w)
+	w := ws.add() // registered before Watch returns: no commit after it goes unseen
+	go watchLoop(ctx, ws, w, b, req, &xo, out)
 	return out, nil
 }
 
-// watchLoop is the per-subscription goroutine: execute at the current
-// version, deliver, install the answer's impact region as the wake filter,
-// sleep until the next region-hitting publish (or ctx), repeat.
-func (db *DB) watchLoop(ctx context.Context, req Request, xo *execOptions, out chan<- Update, w *watcher) {
+// watchLoop is the per-subscription goroutine: execute at the head, deliver,
+// install the answer's impact region as the wake filter, sleep until the
+// next region-hitting publish (or ctx), repeat.
+func watchLoop(ctx context.Context, ws *watchSet, w *watcher, b watchBackend, req Request, xo *execOptions, out chan<- Update) {
 	defer close(out)
-	defer db.watch.remove(w)
+	defer ws.remove(w)
 	var prev *Answer
 	for {
-		v := db.current()
-		if prev == nil || v.epoch > prev.epoch {
-			if prev != nil && db.horizonHolds(prev) {
+		head := b.Version()
+		if prev == nil || head > prev.epoch {
+			if prev != nil && b.horizonHolds(prev) {
 				// Every commit since the delivered answer was a motion-bounded
 				// tick and the answer's validity horizon still holds: no tracked
 				// object can have entered the impact region yet, so the answer
 				// is provably unchanged and re-execution would be wasted.
-				db.watch.horizonSkips.Add(1)
+				ws.horizonSkips.Add(1)
 			} else {
-				ans, err := db.execAt(ctx, req, v, xo)
+				ans, region, err := b.execHead(ctx, req, xo)
 				if err != nil {
 					if ctx.Err() != nil {
 						return // cancelled mid-execution: close without an errored update
 					}
 					select {
-					case out <- Update{Epoch: v.epoch, Err: err}:
+					case out <- Update{Epoch: head, Err: err}:
 					case <-ctx.Done():
 					}
 					return
 				}
+				// Stamp deliveries with the answer's own epoch, not the head
+				// read above: execution runs at the head of its own moment (a
+				// live single-shard read even slides forward when a commit on
+				// the target shard overtakes its cut, see spanWorld), and the
+				// delivered epoch must match the data it reflects.
 				select {
-				case out <- Update{Epoch: v.epoch, Answer: ans, Delta: answerDelta(prev, ans)}:
+				case out <- Update{Epoch: ans.epoch, Answer: ans, Delta: answerDelta(prev, ans)}:
 				case <-ctx.Done():
 					return
 				}
 				prev = ans
-				w.setRegion(widenRegion(impactRegion(req, ans.value), req, ans.metrics.Reach))
+				w.setRegion(region)
 				// Close the missed-wake race: while this re-execution ran,
 				// notify filtered commits against the *previous* answer's
 				// region, so a mutation intersecting only the new region queued
-				// no wake. The new region is installed now; re-check the epoch
+				// no wake. The new region is installed now; re-check the head
 				// directly instead of trusting the wake channel, and go around
 				// again if anything committed meanwhile. Commits landing after
 				// this check are filtered against the region just installed, so
 				// their wakes (the channel holds one token) cannot be lost.
-				if db.current().epoch > prev.epoch {
+				if b.Version() > prev.epoch {
 					continue
 				}
 			}
