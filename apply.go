@@ -246,7 +246,7 @@ type batchState struct {
 	// and deletion decisions depend only on node contents, so one clone
 	// receiving k operations is structurally identical to a chain of k
 	// clones receiving one each.
-	data, obst, uni *rtree.Tree
+	data, obst *rtree.Tree
 
 	ownTombPts, ownTombObs bool // working tombstone maps are private copies
 
@@ -381,12 +381,6 @@ func dist(a, b Point) float64 {
 // pointTreeR returns the tree to read point items from: the working clone
 // when one exists, the base tree otherwise.
 func (b *batchState) pointTreeR() *rtree.Tree {
-	if b.v.eng.OneTree() {
-		if b.uni != nil {
-			return b.uni
-		}
-		return b.v.eng.Unified
-	}
 	if b.data != nil {
 		return b.data
 	}
@@ -395,12 +389,6 @@ func (b *batchState) pointTreeR() *rtree.Tree {
 
 // obstTreeR returns the tree to read obstacle items from.
 func (b *batchState) obstTreeR() *rtree.Tree {
-	if b.v.eng.OneTree() {
-		if b.uni != nil {
-			return b.uni
-		}
-		return b.v.eng.Unified
-	}
 	if b.obst != nil {
 		return b.obst
 	}
@@ -409,17 +397,9 @@ func (b *batchState) obstTreeR() *rtree.Tree {
 
 // pointTreeW returns the working tree for point mutations, cloning the base
 // tree copy-on-write on first use. I/O accounting is detached until commit:
-// structural page writes are not part of the paper's query cost model, and
-// skipping the recorder keeps the writer off the (unsynchronized) LRU buffer
-// while readers use it.
+// structural page writes are not part of the paper's query cost model, so
+// the writer never charges the page counters readers are using.
 func (b *batchState) pointTreeW() *rtree.Tree {
-	if b.v.eng.OneTree() {
-		if b.uni == nil {
-			b.uni = b.v.eng.Unified.CloneCOW()
-			b.uni.SetAccessRecorder(nil)
-		}
-		return b.uni
-	}
 	if b.data == nil {
 		b.data = b.v.eng.Data.CloneCOW()
 		b.data.SetAccessRecorder(nil)
@@ -429,9 +409,6 @@ func (b *batchState) pointTreeW() *rtree.Tree {
 
 // obstTreeW returns the working tree for obstacle mutations.
 func (b *batchState) obstTreeW() *rtree.Tree {
-	if b.v.eng.OneTree() {
-		return b.pointTreeW() // one unified working clone serves both kinds
-	}
 	if b.obst == nil {
 		b.obst = b.v.eng.Obst.CloneCOW()
 		b.obst.SetAccessRecorder(nil)
@@ -469,7 +446,7 @@ func (b *batchState) insertPoint(p Point) (int32, error) {
 	var inside *Rect
 	w := Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
 	b.obstTreeR().View(nil).Search(w, func(it rtree.Item) bool {
-		if it.Kind == rtree.KindObstacle && nv.obstacles[it.ID].ContainsOpen(p) {
+		if nv.obstacles[it.ID].ContainsOpen(p) {
 			o := nv.obstacles[it.ID]
 			inside = &o
 			return false
@@ -479,7 +456,10 @@ func (b *batchState) insertPoint(p Point) (int32, error) {
 	if inside != nil {
 		return 0, fmt.Errorf("connquery: point %v lies strictly inside obstacle %v", p, *inside)
 	}
-	pid := int32(len(nv.points))
+	pid, err := nextID(len(nv.points))
+	if err != nil {
+		return 0, err
+	}
 	if !b.db.ownPts {
 		nv.points = grownCopy(nv.points)
 		b.db.ownPts = true
@@ -525,7 +505,7 @@ func (b *batchState) insertObstacle(r Rect) (int32, error) {
 	}
 	var blocked *int32
 	b.pointTreeR().View(nil).Search(r, func(it rtree.Item) bool {
-		if it.Kind == rtree.KindPoint && r.ContainsOpen(it.Point()) {
+		if r.ContainsOpen(it.Point()) {
 			id := it.ID
 			blocked = &id
 			return false
@@ -536,7 +516,10 @@ func (b *batchState) insertObstacle(r Rect) (int32, error) {
 		return 0, fmt.Errorf("connquery: obstacle %v would swallow point %d", r, *blocked)
 	}
 	nv := b.nv
-	oid := int32(len(nv.obstacles))
+	oid, err := nextID(len(nv.obstacles))
+	if err != nil {
+		return 0, err
+	}
 	if !b.db.ownObs {
 		nv.obstacles = grownCopy(nv.obstacles)
 		b.db.ownObs = true
@@ -583,35 +566,27 @@ func (b *batchState) deleteObstacle(oid int32) error {
 // obstacle slice did not grow (point mutations, deletions: tombstoned
 // obstacles stay in the kernel harmlessly, queries never mark them) and
 // extended otherwise (Extend itself shares the BVH until the appended tail
-// outgrows it). Counters, options and the shared query-state pool
-// carry over so metrics and warm scratch survive across versions.
+// outgrows it). Counters and the shared query-state pool carry over so
+// metrics and warm scratch survive across versions.
 func (b *batchState) finishEngine() {
 	old := b.v.eng
 	eng := &core.Engine{
+		Data:        old.Data,
+		Obst:        old.Obst,
 		Obstacles:   b.nv.obstacles,
 		Kernel:      b.kern,
-		Opts:        b.db.cfg.tuning,
 		Epoch:       b.nv.epoch,
 		States:      b.db.states,
 		DataCounter: old.DataCounter,
 		ObstCounter: old.ObstCounter,
 	}
-	if old.OneTree() {
-		eng.Unified = old.Unified
-		if b.uni != nil {
-			b.uni.SetAccessRecorder(old.DataCounter)
-			eng.Unified = b.uni
-		}
-	} else {
-		eng.Data, eng.Obst = old.Data, old.Obst
-		if b.data != nil {
-			b.data.SetAccessRecorder(old.DataCounter)
-			eng.Data = b.data
-		}
-		if b.obst != nil {
-			b.obst.SetAccessRecorder(old.ObstCounter)
-			eng.Obst = b.obst
-		}
+	if b.data != nil {
+		b.data.SetAccessRecorder(old.DataCounter)
+		eng.Data = b.data
+	}
+	if b.obst != nil {
+		b.obst.SetAccessRecorder(old.ObstCounter)
+		eng.Obst = b.obst
 	}
 	b.nv.eng = eng
 }

@@ -504,11 +504,6 @@ func runApplyDifferential(t *testing.T, seed int64, opts ...Option) {
 // epochs, bit-identical answers on every request kind.
 func TestApplyBatchDifferential(t *testing.T) { runApplyDifferential(t, 61) }
 
-// TestApplyBatchDifferentialOneTree repeats the differential over the
-// unified-tree layout, where the batch's single working clone serves both
-// item kinds.
-func TestApplyBatchDifferentialOneTree(t *testing.T) { runApplyDifferential(t, 62, WithOneTree()) }
-
 // TestShardedApplyDifferential crosses both axes at once: the sharded
 // router's Apply (sequential per member, wake-filtered per shard) against
 // the single-node batched Apply must agree on every outcome and answer.

@@ -239,34 +239,6 @@ func BenchmarkObstructedDist(b *testing.B) {
 	}
 }
 
-// BenchmarkNaiveVsCONN contrasts the exact single-pass CONN algorithm with
-// the §1 naive sampling baseline at equal answer quality (the baseline needs
-// many ONN probes to even approximate the split points).
-func BenchmarkNaiveVsCONN(b *testing.B) {
-	w := workload("CL", 1)
-	db, err := Open(w.Points, w.Obstacles, WithAnswerCache(0)) // measure the execution path, not cache hits
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	q := dataset.QuerySegment(rng, 0.015, w.Obstacles)
-	ctx := context.Background()
-	b.Run("CONN", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := Run(ctx, db, CONNRequest{Seg: q}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Naive64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := Run(ctx, db, NaiveCONNRequest{Seg: q, Samples: 64}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkMutateUnderLoad measures the MVCC write path — one op is one
 // mutation (rotating insert-point / insert-obstacle / delete-point /
 // delete-obstacle), i.e. one copy-on-write R*-tree path copy plus an atomic

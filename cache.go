@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"connquery/internal/anscache"
-	"connquery/internal/core"
 	"connquery/internal/geom"
 )
 
@@ -59,7 +58,7 @@ type cachedAnswer struct {
 
 // Fingerprint layout: one schema byte, one request-kind tag, the request's
 // parameters as little-endian normalized float64 bits (lengths prefix every
-// slice), then the per-call options (resolved tuning bitmask, workers).
+// slice), then the per-call worker option.
 // The full canonical byte string is the cache key — no hashing, so distinct
 // requests can never collide and serve each other's answers.
 const fpSchema byte = 1
@@ -69,7 +68,6 @@ const (
 	fpCOkNN
 	fpONN
 	fpCNN
-	fpNaiveCONN
 	fpRange
 	fpVisibleKNN
 	fpDistance
@@ -127,13 +125,12 @@ func pointLess(a, b Point) bool {
 }
 
 // requestFingerprint returns the canonical cache key for req executed with
-// the resolved tuning and worker options, and whether the request is
-// cacheable at all. Two requests that must produce the same answer at the
-// same version map to the same key (value-identical parameters, -0.0
-// normalized to +0.0, the symmetric DistanceRequest endpoint order
-// canonicalized); any difference in parameters, tuning or worker options
-// yields a different key.
-func requestFingerprint(req Request, tuning core.Options, workers int, hasWorkers bool) (string, bool) {
+// the given worker option, and whether the request is cacheable at all. Two
+// requests that must produce the same answer at the same version map to the
+// same key (value-identical parameters, -0.0 normalized to +0.0, the
+// symmetric DistanceRequest endpoint order canonicalized); any difference
+// in parameters or worker options yields a different key.
+func requestFingerprint(req Request, workers int, hasWorkers bool) (string, bool) {
 	w := fpWriter{buf: make([]byte, 0, 64), ok: true}
 	w.byte(fpSchema)
 	switch r := req.(type) {
@@ -151,15 +148,6 @@ func requestFingerprint(req Request, tuning core.Options, workers int, hasWorker
 	case CNNRequest:
 		w.byte(fpCNN)
 		w.seg(r.Seg)
-	case NaiveCONNRequest:
-		w.byte(fpNaiveCONN)
-		w.seg(r.Seg)
-		// The engine clamps samples < 2 to 2; fingerprint the effective value.
-		s := r.Samples
-		if s < 2 {
-			s = 2
-		}
-		w.u64(uint64(int64(s)))
 	case RangeRequest:
 		w.byte(fpRange)
 		w.point(r.Center)
@@ -204,26 +192,8 @@ func requestFingerprint(req Request, tuning core.Options, workers int, hasWorker
 		return "", false // unknown request implementation: never cache
 	}
 
-	// Per-call options that select a different execution (tuning changes the
-	// cost profile the answer carries; workers change ItemMetrics) keep
+	// Workers change ItemMetrics, so pooled and sequential executions keep
 	// separate entries.
-	var tbits byte
-	if tuning.DisableLemma1 {
-		tbits |= 1 << 0
-	}
-	if tuning.DisableLemma6 {
-		tbits |= 1 << 1
-	}
-	if tuning.DisableLemma7 {
-		tbits |= 1 << 2
-	}
-	if tuning.DisableVGReuse {
-		tbits |= 1 << 3
-	}
-	if tuning.UseBisectionSolver {
-		tbits |= 1 << 4
-	}
-	w.byte(tbits)
 	if hasWorkers {
 		w.byte(1)
 		w.u64(uint64(int64(workers)))
@@ -257,8 +227,6 @@ func regionAround(rect geom.Rect, maxd float64) anscache.Region {
 func impactRegion(req Request, value any) anscache.Region {
 	switch r := req.(type) {
 	case CONNRequest:
-		return regionAround(segBox(r.Seg), value.(*Result).MaxDist)
-	case NaiveCONNRequest:
 		return regionAround(segBox(r.Seg), value.(*Result).MaxDist)
 	case COkNNRequest:
 		return regionAround(segBox(r.Seg), value.(*KResult).MaxDist)
@@ -341,8 +309,6 @@ func requestBaseBox(req Request) geom.Rect {
 	case COkNNRequest:
 		return segBox(r.Seg)
 	case CNNRequest:
-		return segBox(r.Seg)
-	case NaiveCONNRequest:
 		return segBox(r.Seg)
 	case ONNRequest:
 		return geom.RectFromPoints(r.P)

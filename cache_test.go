@@ -262,21 +262,10 @@ func TestDistanceEntrySurvivesPointMutations(t *testing.T) {
 	}
 }
 
-func TestTuningAndWorkersKeepSeparateEntries(t *testing.T) {
+func TestWorkersKeepSeparateEntries(t *testing.T) {
 	db := cacheTestDB(t)
 	ctx := context.Background()
 	seg := Seg(Pt(12, 12), Pt(28, 12))
-
-	if _, err := db.Exec(ctx, CONNRequest{Seg: seg}); err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := db.Exec(ctx, CONNRequest{Seg: seg}, WithQueryTuning(Tuning{DisableLemma7: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuned.Cached() {
-		t.Fatal("a tuned call must not hit the untuned entry")
-	}
 
 	batch := CONNBatchRequest{Segs: []Segment{seg}}
 	if _, err := db.Exec(ctx, batch); err != nil {

@@ -11,12 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 
-	"connquery/internal/anscache"
-	"connquery/internal/core"
-	"connquery/internal/flatgeom"
-	"connquery/internal/lru"
 	"connquery/internal/rtree"
-	"connquery/internal/stats"
 )
 
 // Checkpoint format: the durable tier's epoch-stamped superset of the v1
@@ -328,10 +323,10 @@ func HasDurableState(dir string) bool {
 }
 
 // loadLatestCheckpoint reads and parses dir's newest checkpoint. onPage,
-// when non-nil, is charged once per pageSize-aligned page of the file —
-// recovery's real-I/O accounting. Returns nil data (no error) when the
-// directory holds no checkpoint at all.
-func loadLatestCheckpoint(dir string, pageSize int, onPage func(int64)) (*ckptData, int64, error) {
+// when non-nil, is charged once per page of the file — recovery's real-I/O
+// accounting. Returns nil data (no error) when the directory holds no
+// checkpoint at all.
+func loadLatestCheckpoint(dir string, onPage func(int64)) (*ckptData, int64, error) {
 	names, err := listCheckpoints(dir)
 	if err != nil || len(names) == 0 {
 		return nil, 0, err
@@ -341,11 +336,7 @@ func loadLatestCheckpoint(dir string, pageSize int, onPage func(int64)) (*ckptDa
 	if err != nil {
 		return nil, 0, err
 	}
-	if onPage != nil && pageSize > 0 {
-		for off := 0; off < len(data); off += pageSize {
-			onPage(ckptPageBase | int64(off/pageSize))
-		}
-	}
+	chargePages(data, onPage)
 	c, err := parseCheckpoint(data)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: %w", path, err)
@@ -354,8 +345,19 @@ func loadLatestCheckpoint(dir string, pageSize int, onPage func(int64)) (*ckptDa
 }
 
 // ckptPageBase namespaces checkpoint page IDs away from WAL segment page
-// IDs in the shared recovery buffer.
+// IDs in the shared recovery counter.
 const ckptPageBase = int64(1) << 48
+
+// chargePages charges onPage (when non-nil) once per rtree.DefaultPageSize
+// page of a checkpoint image.
+func chargePages(data []byte, onPage func(int64)) {
+	if onPage == nil {
+		return
+	}
+	for off := 0; off < len(data); off += rtree.DefaultPageSize {
+		onPage(ckptPageBase | int64(off/rtree.DefaultPageSize))
+	}
+}
 
 // openAt rebuilds a DB at a checkpoint's exact state: the full append-only
 // arrays (deleted objects included, so the ID space and every engine
@@ -372,16 +374,6 @@ func openAt(c *ckptData, cfg config) (*DB, error) {
 	if len(c.points) == 0 {
 		return nil, fmt.Errorf("connquery: checkpoint has no points")
 	}
-	if cfg.tuning.DisableVGReuse && cfg.oneTree {
-		return nil, fmt.Errorf("connquery: DisableVGReuse is incompatible with WithOneTree")
-	}
-	db := &DB{
-		cfg:    cfg,
-		states: core.NewStatePool(),
-		ownPts: true,
-		ownObs: true,
-		cache:  anscache.New(cfg.cacheBytes),
-	}
 	v := &version{
 		epoch:      c.epoch,
 		points:     c.points,
@@ -395,56 +387,5 @@ func openAt(c *ckptData, cfg config) (*DB, error) {
 	if len(v.deletedObs) == 0 {
 		v.deletedObs = nil
 	}
-
-	var pointItems []rtree.Item
-	for i, p := range v.points {
-		if !v.deletedPts[int32(i)] {
-			pointItems = append(pointItems, rtree.PointItem(int32(i), p))
-		}
-	}
-	var obstItems []rtree.Item
-	for i, o := range v.obstacles {
-		if !v.deletedObs[int32(i)] {
-			obstItems = append(obstItems, rtree.ObstacleItem(int32(i), o))
-		}
-	}
-
-	eng := &core.Engine{
-		Obstacles: v.obstacles,
-		Kernel:    flatgeom.NewKernel(v.obstacles),
-		Opts:      cfg.tuning,
-		Epoch:     v.epoch,
-		States:    db.states,
-	}
-	if cfg.oneTree {
-		uni := rtree.New(rtree.Options{PageSize: cfg.pageSize})
-		uni.BulkLoad(append(pointItems, obstItems...))
-		counter := &stats.PageCounter{}
-		if cfg.bufferPages > 0 {
-			db.dataBuf = lru.New(cfg.bufferPages)
-			counter.Buffer = db.dataBuf
-		}
-		uni.SetAccessRecorder(counter)
-		eng.Unified = uni
-		eng.DataCounter = counter
-	} else {
-		data := rtree.New(rtree.Options{PageSize: cfg.pageSize})
-		data.BulkLoad(pointItems)
-		obst := rtree.New(rtree.Options{PageSize: cfg.pageSize})
-		obst.BulkLoad(obstItems)
-		dc, oc := &stats.PageCounter{}, &stats.PageCounter{}
-		if cfg.bufferPages > 0 {
-			db.dataBuf = lru.New(cfg.bufferPages)
-			db.obstBuf = lru.New(cfg.bufferPages)
-			dc.Buffer = db.dataBuf
-			oc.Buffer = db.obstBuf
-		}
-		data.SetAccessRecorder(dc)
-		obst.SetAccessRecorder(oc)
-		eng.Data, eng.Obst = data, obst
-		eng.DataCounter, eng.ObstCounter = dc, oc
-	}
-	v.eng = eng
-	db.cur.Store(v)
-	return db, nil
+	return newDB(v, cfg), nil
 }

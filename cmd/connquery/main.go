@@ -33,13 +33,10 @@ func main() {
 	scale := flag.Float64("scale", 0.05, "dataset cardinality scale (1 = the paper's sizes)")
 	ratio := flag.Float64("ratio", 1, "|P|/|O| ratio for UL/ZL")
 	seed := flag.Int64("seed", 2009, "workload seed")
-	algo := flag.String("algo", "conn", "algorithm: conn, coknn, cnn, naive, onn")
+	algo := flag.String("algo", "conn", "algorithm: conn, coknn, cnn, onn")
 	k := flag.Int("k", 5, "k for coknn/onn")
-	samples := flag.Int("samples", 128, "sample count for the naive baseline")
 	queryFlag := flag.String("query", "", "query segment as x1,y1:x2,y2 (space is [0,10000]^2)")
 	pointFlag := flag.String("point", "", "query point as x,y (for -algo onn)")
-	oneTree := flag.Bool("onetree", false, "index points and obstacles in one R-tree")
-	buffer := flag.Int("buffer", 0, "LRU buffer pages per tree")
 	timeout := flag.Duration("timeout", 0, "abort the query after this duration (0 = no deadline)")
 	pointsCSV := flag.String("points-csv", "", "load data points from a CSV file (x,y rows) instead of generating them")
 	obstaclesCSV := flag.String("obstacles-csv", "", "load obstacles from a CSV file (minx,miny,maxx,maxy rows)")
@@ -64,14 +61,7 @@ func main() {
 	}
 	fmt.Printf("workload %s: %d points, %d obstacles\n", w.Name, len(w.Points), len(w.Obstacles))
 
-	var opts []connquery.Option
-	if *oneTree {
-		opts = append(opts, connquery.WithOneTree())
-	}
-	if *buffer > 0 {
-		opts = append(opts, connquery.WithBufferPages(*buffer))
-	}
-	db, err := connquery.Open(w.Points, w.Obstacles, opts...)
+	db, err := connquery.Open(w.Points, w.Obstacles)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,7 +84,7 @@ func main() {
 			log.Fatalf("-point: %v", err)
 		}
 		req = connquery.ONNRequest{P: p, K: *k}
-	case "conn", "cnn", "naive", "coknn":
+	case "conn", "cnn", "coknn":
 		q, err := parseSegment(*queryFlag)
 		if err != nil {
 			log.Fatalf("-query: %v", err)
@@ -104,8 +94,6 @@ func main() {
 			req = connquery.CONNRequest{Seg: q}
 		case "cnn":
 			req = connquery.CNNRequest{Seg: q}
-		case "naive":
-			req = connquery.NaiveCONNRequest{Seg: q, Samples: *samples}
 		default:
 			req = connquery.COkNNRequest{Seg: q, K: *k}
 		}

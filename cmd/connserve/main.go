@@ -73,8 +73,6 @@ func main() {
 	groupCommit := flag.Duration("group-commit", 0, "with -data-dir: sync the WAL on this window instead of per mutation (0 = strict fsync before every commit)")
 	syncAck := flag.Bool("sync-ack", false, "with -data-dir and -group-commit: fsync the WAL before acknowledging each commit — durable acks with the batched write path (no effect in strict mode, which always syncs)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "with -data-dir: checkpoint after this many logged records (0 = library default, negative = manual/shutdown only)")
-	oneTree := flag.Bool("onetree", false, "index points and obstacles in one R-tree")
-	buffer := flag.Int("buffer", 0, "LRU buffer pages per tree")
 	cacheBytes := flag.Int64("cache-bytes", connquery.DefaultAnswerCacheBytes,
 		"answer cache budget in bytes (0 disables; hits/promotions surface in /v1/stats)")
 	noPlanner := flag.Bool("no-planner", false, "disable the shared-subcomputation execution planner (planner counters surface in /v1/stats)")
@@ -84,14 +82,7 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this extra address (e.g. localhost:6060); off when empty")
 	flag.Parse()
 
-	var opts []connquery.Option
-	if *oneTree {
-		opts = append(opts, connquery.WithOneTree())
-	}
-	if *buffer > 0 {
-		opts = append(opts, connquery.WithBufferPages(*buffer))
-	}
-	opts = append(opts, connquery.WithAnswerCache(*cacheBytes))
+	opts := []connquery.Option{connquery.WithAnswerCache(*cacheBytes)}
 	if *noPlanner {
 		opts = append(opts, connquery.WithNoPlanner())
 	}

@@ -35,7 +35,7 @@ func batchFixture(t *testing.T, nQueries int) (*DB, []Segment) {
 			pts = append(pts, p)
 		}
 	}
-	db, err := Open(pts, obstacles, WithBufferPages(16))
+	db, err := Open(pts, obstacles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,7 @@ func TestCONNBatchMatchesSequential(t *testing.T) {
 				}
 			}
 			// The algorithmic metrics are deterministic per query, so batch
-			// workers must report exactly the sequential values (page faults
-			// depend on per-worker buffer state and are not compared).
+			// workers must report exactly the sequential values.
 			if ms[i].NPE != wantM[i].NPE || ms[i].NOE != wantM[i].NOE || ms[i].SVG != wantM[i].SVG {
 				t.Fatalf("workers=%d query %d: metrics NPE/NOE/SVG = %d/%d/%d, want %d/%d/%d",
 					workers, i, ms[i].NPE, ms[i].NOE, ms[i].SVG, wantM[i].NPE, wantM[i].NOE, wantM[i].SVG)
@@ -151,7 +150,7 @@ func TestConcurrentClones(t *testing.T) {
 			pts = append(pts, p)
 		}
 	}
-	db, err := Open(pts, obstacles, WithBufferPages(32))
+	db, err := Open(pts, obstacles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,35 +408,5 @@ free:
 		if !sameAnswer(t, fmt.Sprintf("final batch query %d", i), got[i], want[i]) {
 			return
 		}
-	}
-}
-
-// TestBufferedHandleConcurrentQueries pins the LRU-footgun fix: a buffered
-// handle may serve concurrent queries — and ResetBufferStats may race them —
-// without corrupting the buffer or the hit/miss counters (run under -race
-// in CI; before the buffer was internally locked this was documented as
-// unsupported and corrupted metrics silently).
-func TestBufferedHandleConcurrentQueries(t *testing.T) {
-	db, queries := batchFixture(t, 6) // WithBufferPages(16)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				if _, _, err := Run(context.Background(), db, CONNRequest{Seg: queries[(g+i)%len(queries)]}); err != nil {
-					t.Error(err)
-					return
-				}
-				if i%3 == 0 {
-					db.ResetBufferStats()
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	// The buffer still answers sanely after the storm.
-	if _, _, err := Run(context.Background(), db, CONNRequest{Seg: queries[0]}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -25,16 +25,16 @@
 // Run is the statically typed helper over DB.Exec, which returns an Answer
 // carrying the payload, the query Metrics and the MVCC epoch it ran
 // against. The request family covers the paper and its related work:
-// CONNRequest, COkNNRequest, ONNRequest, CNNRequest, NaiveCONNRequest,
-// RangeRequest, TrajectoryRequest, CONNBatchRequest, EDistanceJoinRequest,
+// CONNRequest, COkNNRequest, ONNRequest, CNNRequest, RangeRequest,
+// TrajectoryRequest, CONNBatchRequest, EDistanceJoinRequest,
 // DistanceSemiJoinRequest, ClosestPairRequest, VisibleKNNRequest and
 // DistanceRequest.
 //
 // Per-call QueryOptions subsume what used to require dedicated methods:
 // AtVersion/AtSnapshot pin a query to an explicitly pinned MVCC version
-// (DB.Snapshot returns the pin handle), WithQueryTuning overrides the
-// ablation switches for one call, and WithWorkers runs a multi-item request
-// on a bounded worker pool. The ctx passed to Exec is polled inside the
+// (DB.Snapshot returns the pin handle), WithWorkers runs a multi-item
+// request on a bounded worker pool, and WithNoCache bypasses the answer
+// cache. The ctx passed to Exec is polled inside the
 // query hot loops (the Dijkstra settle loop, incremental obstacle
 // retrieval, the control-point scan), so cancellation and deadlines abort
 // even a single stuck query promptly with ctx.Err().
@@ -51,11 +51,13 @@
 //
 // # Cost model
 //
-// The library indexes P and O with R*-trees (two separate trees by default,
-// or a single unified tree with WithOneTree), models page I/O with a
-// configurable page size and optional LRU buffer, and reports the paper's
-// cost metrics (page faults, CPU time, points/obstacles evaluated,
-// visibility-graph size) with every query.
+// The library indexes P and O with two R*-trees of 4 KB pages and reports
+// the paper's cost metrics with every query: page faults (unbuffered, one
+// fault per node access), CPU time, points and obstacles evaluated, and
+// visibility-graph size. The paper's cost-model experiments — the LRU
+// buffer of Figure 12, the single-tree variant of Figure 13 and the lemma
+// ablations — are not options of this package; `connbench -fig` runs them
+// on the engine directly.
 package connquery
 
 import (
@@ -68,7 +70,6 @@ import (
 	"connquery/internal/core"
 	"connquery/internal/flatgeom"
 	"connquery/internal/geom"
-	"connquery/internal/lru"
 	"connquery/internal/planner"
 	"connquery/internal/rtree"
 	"connquery/internal/stats"
@@ -148,12 +149,11 @@ type version struct {
 //     immutable version via an atomic pointer swap, and every query reads
 //     the version that was current when it started.
 //   - Queries on one DB handle may run concurrently with each other and
-//     with the writer. The optional LRU buffer (WithBufferPages) locks
-//     internally, so buffered handles are concurrency-safe too; the
-//     page-fault counters are shared per handle, so concurrent queries
-//     contaminate each other's per-query fault metrics (answers and the
-//     NPE/NOE/SVG metrics are unaffected) — use one Clone per goroutine, or
-//     CONNBatchRequest's per-worker views, for clean fault accounting.
+//     with the writer. The page-fault counters are shared per handle, so
+//     concurrent queries contaminate each other's per-query fault metrics
+//     (answers and the NPE/NOE/SVG metrics are unaffected) — use one Clone
+//     per goroutine, or CONNBatchRequest's per-worker views, for clean
+//     fault accounting.
 //   - Clone pins the version current at call time: later mutations of the
 //     parent are invisible to the clone, and the clone may itself be
 //     mutated, forking an independent history. DB.Snapshot pins a version
@@ -169,10 +169,8 @@ type DB struct {
 	ownPts bool
 	ownObs bool
 
-	states  *core.StatePool
-	dataBuf *lru.Buffer
-	obstBuf *lru.Buffer
-	cfg     config
+	states *core.StatePool
+	cfg    config
 
 	// cache is the answer cache (nil when disabled): Exec keys executions by
 	// canonical request fingerprint and epoch, mutations invalidate only the
@@ -224,13 +222,6 @@ func Open(points []Point, obstacles []Rect, opts ...Option) (*DB, error) {
 	if len(points) == 0 {
 		return nil, errors.New("connquery: no data points")
 	}
-	if cfg.tuning.DisableVGReuse && cfg.oneTree {
-		// The ablation rewinds the obstacle iterator per evaluated point,
-		// which the unified-tree source cannot do without re-consuming data
-		// points; reject the combination here rather than panicking (or
-		// erroring) on the first query.
-		return nil, errors.New("connquery: DisableVGReuse is incompatible with WithOneTree")
-	}
 	for i, p := range points {
 		if !validPoint(p) {
 			return nil, fmt.Errorf("connquery: point %d has a non-finite coordinate: %v", i, p)
@@ -241,6 +232,28 @@ func Open(points []Point, obstacles []Rect, opts ...Option) (*DB, error) {
 			return nil, fmt.Errorf("connquery: obstacle %d is malformed: %v (must be finite with positive width and height)", i, o)
 		}
 	}
+	v := &version{
+		epoch:     1,
+		points:    append([]Point(nil), points...),
+		obstacles: append([]Rect(nil), obstacles...),
+	}
+	db := newDB(v, cfg)
+	// Validate point placement using the freshly built obstacle index.
+	for i, p := range points {
+		for _, o := range v.obstaclesNear(p) {
+			if o.ContainsOpen(p) {
+				return nil, fmt.Errorf("connquery: point %d (%v) lies strictly inside obstacle %v", i, p, o)
+			}
+		}
+	}
+	return db, nil
+}
+
+// newDB wraps v in a fresh handle: the R-trees bulk-load v's live objects
+// (deleted ones keep their array slots, so the ID space is preserved, but
+// are not indexed), the flat-geometry kernel is built over the full
+// obstacle array, and the answer cache and planner start empty.
+func newDB(v *version, cfg config) *DB {
 	db := &DB{
 		cfg:    cfg,
 		states: core.NewStatePool(),
@@ -251,99 +264,59 @@ func Open(points []Point, obstacles []Rect, opts ...Option) (*DB, error) {
 	if !cfg.noPlanner {
 		db.planner = planner.New(plannerMaxGroups)
 	}
-	v := &version{
-		epoch:     1,
-		points:    append([]Point(nil), points...),
-		obstacles: append([]Rect(nil), obstacles...),
-	}
-
-	pointItems := make([]rtree.Item, len(points))
-	for i, p := range points {
-		pointItems[i] = rtree.PointItem(int32(i), p)
-	}
-	obstItems := make([]rtree.Item, len(obstacles))
-	for i, o := range obstacles {
-		obstItems[i] = rtree.ObstacleItem(int32(i), o)
-	}
-
-	eng := &core.Engine{
-		Obstacles: v.obstacles,
-		Kernel:    flatgeom.NewKernel(v.obstacles),
-		Opts:      cfg.tuning,
-		Epoch:     v.epoch,
-		States:    db.states,
-	}
-	if cfg.oneTree {
-		uni := rtree.New(rtree.Options{PageSize: cfg.pageSize})
-		uni.BulkLoad(append(pointItems, obstItems...))
-		counter := &stats.PageCounter{}
-		if cfg.bufferPages > 0 {
-			db.dataBuf = lru.New(cfg.bufferPages)
-			counter.Buffer = db.dataBuf
-		}
-		uni.SetAccessRecorder(counter)
-		eng.Unified = uni
-		eng.DataCounter = counter
-	} else {
-		data := rtree.New(rtree.Options{PageSize: cfg.pageSize})
-		data.BulkLoad(pointItems)
-		obst := rtree.New(rtree.Options{PageSize: cfg.pageSize})
-		obst.BulkLoad(obstItems)
-		dc, oc := &stats.PageCounter{}, &stats.PageCounter{}
-		if cfg.bufferPages > 0 {
-			db.dataBuf = lru.New(cfg.bufferPages)
-			db.obstBuf = lru.New(cfg.bufferPages)
-			dc.Buffer = db.dataBuf
-			oc.Buffer = db.obstBuf
-		}
-		data.SetAccessRecorder(dc)
-		obst.SetAccessRecorder(oc)
-		eng.Data, eng.Obst = data, obst
-		eng.DataCounter, eng.ObstCounter = dc, oc
-	}
-	v.eng = eng
-
-	// Validate point placement using the freshly built obstacle index.
-	for i, p := range points {
-		for _, o := range v.obstaclesNear(p) {
-			if o.ContainsOpen(p) {
-				return nil, fmt.Errorf("connquery: point %d (%v) lies strictly inside obstacle %v", i, p, o)
-			}
+	var pointItems, obstItems []rtree.Item
+	for i, p := range v.points {
+		if !v.deletedPts[int32(i)] {
+			pointItems = append(pointItems, rtree.PointItem(int32(i), p))
 		}
 	}
+	for i, o := range v.obstacles {
+		if !v.deletedObs[int32(i)] {
+			obstItems = append(obstItems, rtree.ObstacleItem(int32(i), o))
+		}
+	}
+	data, obst := rtree.New(rtree.Options{}), rtree.New(rtree.Options{})
+	data.BulkLoad(pointItems)
+	obst.BulkLoad(obstItems)
+	v.eng = newEngine(v, data, obst, flatgeom.NewKernel(v.obstacles), db.states)
 	db.cur.Store(v)
-	return db, nil
+	return db
+}
+
+// newEngine builds a read engine for v over the given trees and kernel,
+// viewing each tree through a fresh page-fault counter. states may be nil,
+// giving the engine a private query-state pool.
+func newEngine(v *version, data, obst *rtree.Tree, kern *flatgeom.Kernel, states *core.StatePool) *core.Engine {
+	dc, oc := &stats.PageCounter{}, &stats.PageCounter{}
+	return &core.Engine{
+		Data:        data.View(dc),
+		Obst:        obst.View(oc),
+		Obstacles:   v.obstacles,
+		Kernel:      kern,
+		Epoch:       v.epoch,
+		States:      states,
+		DataCounter: dc,
+		ObstCounter: oc,
+	}
+}
+
+// viewEngine builds a read engine over v's own indexes with fresh page-fault
+// counters.
+func viewEngine(v *version, states *core.StatePool) *core.Engine {
+	return newEngine(v, v.eng.Data, v.eng.Obst, v.eng.Kernel, states)
 }
 
 // obstaclesNear returns the obstacles whose rectangles contain (or touch) p.
 // The lookup runs through an unrecorded view so validation reads never
-// perturb I/O accounting or the LRU buffer.
+// perturb I/O accounting.
 func (v *version) obstaclesNear(p Point) []Rect {
 	var out []Rect
 	w := geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}
-	v.obstTree().View(nil).Search(w, func(it rtree.Item) bool {
-		if it.Kind == rtree.KindObstacle {
-			out = append(out, v.obstacles[it.ID])
-		}
+	v.eng.Obst.View(nil).Search(w, func(it rtree.Item) bool {
+		out = append(out, v.obstacles[it.ID])
 		return true
 	})
 	return out
-}
-
-// obstTree returns the tree holding obstacle items.
-func (v *version) obstTree() *rtree.Tree {
-	if v.eng.OneTree() {
-		return v.eng.Unified
-	}
-	return v.eng.Obst
-}
-
-// pointTree returns the tree holding point items.
-func (v *version) pointTree() *rtree.Tree {
-	if v.eng.OneTree() {
-		return v.eng.Unified
-	}
-	return v.eng.Data
 }
 
 // NumPoints returns the size of the data set P (excluding deleted points).
@@ -400,48 +373,14 @@ func (db *DB) Obstacles() []Rect {
 	return out
 }
 
-// viewEngine builds a read engine over v's indexes with fresh page-fault
-// counters and optional fresh LRU buffers. states may be nil, giving the
-// engine a private query-state pool.
-func viewEngine(v *version, cfg config, states *core.StatePool) (eng *core.Engine, dataBuf, obstBuf *lru.Buffer) {
-	eng = &core.Engine{
-		Obstacles: v.obstacles,
-		Kernel:    v.eng.Kernel,
-		Opts:      cfg.tuning,
-		Epoch:     v.epoch,
-		States:    states,
-	}
-	if v.eng.OneTree() {
-		c := &stats.PageCounter{}
-		if cfg.bufferPages > 0 {
-			dataBuf = lru.New(cfg.bufferPages)
-			c.Buffer = dataBuf
-		}
-		eng.Unified = v.eng.Unified.View(c)
-		eng.DataCounter = c
-		return eng, dataBuf, nil
-	}
-	dc, oc := &stats.PageCounter{}, &stats.PageCounter{}
-	if cfg.bufferPages > 0 {
-		dataBuf = lru.New(cfg.bufferPages)
-		obstBuf = lru.New(cfg.bufferPages)
-		dc.Buffer = dataBuf
-		oc.Buffer = obstBuf
-	}
-	eng.Data = v.eng.Data.View(dc)
-	eng.Obst = v.eng.Obst.View(oc)
-	eng.DataCounter, eng.ObstCounter = dc, oc
-	return eng, dataBuf, obstBuf
-}
-
 // Clone returns an independent query handle pinned to the current snapshot:
 // R-tree nodes, point/obstacle storage and tombstones are shared with this
-// version, while page-fault counters and the optional LRU buffer are fresh
-// per clone. Later mutations of the parent are invisible to the clone (and
-// vice versa: a mutated clone forks its own version chain), so a clone is a
-// stable, fully consistent view. Use one clone per goroutine when you need
-// uncontaminated per-query fault metrics. Snapshot pins and Watch
-// subscriptions do not carry over to the clone.
+// version, while page-fault counters are fresh per clone. Later mutations
+// of the parent are invisible to the clone (and vice versa: a mutated clone
+// forks its own version chain), so a clone is a stable, fully consistent
+// view. Use one clone per goroutine when you need uncontaminated per-query
+// fault metrics. Snapshot pins and Watch subscriptions do not carry over to
+// the clone.
 func (db *DB) Clone() *DB {
 	v := db.current()
 	// The clone starts with an empty answer cache of the same budget: it may
@@ -453,28 +392,13 @@ func (db *DB) Clone() *DB {
 		// epoch chain, and groups must never cross handles.
 		cp.planner = planner.New(plannerMaxGroups)
 	}
-	eng, dataBuf, obstBuf := viewEngine(v, db.cfg, cp.states)
-	cp.dataBuf, cp.obstBuf = dataBuf, obstBuf
 	cp.cur.Store(&version{
 		epoch:      v.epoch,
 		points:     v.points,
 		obstacles:  v.obstacles,
 		deletedPts: v.deletedPts,
 		deletedObs: v.deletedObs,
-		eng:        eng,
+		eng:        viewEngine(v, cp.states),
 	})
 	return cp
-}
-
-// ResetBufferStats zeroes the LRU hit/miss counters while keeping resident
-// pages, the boundary between the paper's warm-up and measurement phases.
-// The buffers lock internally, so it is safe to call while queries run;
-// in-flight queries simply split their counts across the two phases.
-func (db *DB) ResetBufferStats() {
-	if db.dataBuf != nil {
-		db.dataBuf.ResetStats()
-	}
-	if db.obstBuf != nil {
-		db.obstBuf.ResetStats()
-	}
 }

@@ -5,7 +5,7 @@ package connquery
 // across mutations by the surgical invalidator — must be bit-identical in
 // payload and epoch to a cache-bypassed execution of the same request at
 // the same pinned version. The harness drives a randomized workload that
-// interleaves all 13 request kinds with point/obstacle insertions and
+// interleaves all 12 request kinds with point/obstacle insertions and
 // deletions, re-issuing earlier requests so entries are hit both at their
 // original epoch and after surviving mutations, and checks every single
 // answer against WithNoCache ground truth. Metrics (NPE/NOE/|SVG|) are
@@ -73,9 +73,9 @@ func (w *diffWorkload) pts(min, max int) []Point {
 	return out
 }
 
-// newRequest draws one request across all 13 kinds.
+// newRequest draws one request across all 12 kinds.
 func (w *diffWorkload) newRequest() Request {
-	switch w.rng.Intn(13) {
+	switch w.rng.Intn(12) {
 	case 0:
 		return CONNRequest{Seg: w.seg()}
 	case 1:
@@ -85,25 +85,23 @@ func (w *diffWorkload) newRequest() Request {
 	case 3:
 		return CNNRequest{Seg: w.seg()}
 	case 4:
-		return NaiveCONNRequest{Seg: w.seg(), Samples: 2 + w.rng.Intn(3)}
-	case 5:
 		return RangeRequest{Center: w.pt(), Radius: w.rng.Float64() * 25 * w.scale()}
-	case 6:
+	case 5:
 		return VisibleKNNRequest{P: w.pt(), K: 1 + w.rng.Intn(3)}
-	case 7:
+	case 6:
 		return DistanceRequest{A: w.pt(), B: w.pt()}
-	case 8:
+	case 7:
 		wp := w.pts(2, 4)
 		return TrajectoryRequest{Waypoints: wp}
-	case 9:
+	case 8:
 		segs := make([]Segment, 1+w.rng.Intn(3))
 		for i := range segs {
 			segs[i] = w.seg()
 		}
 		return CONNBatchRequest{Segs: segs}
-	case 10:
+	case 9:
 		return EDistanceJoinRequest{Queries: w.pts(1, 3), E: w.rng.Float64() * 20 * w.scale()}
-	case 11:
+	case 10:
 		return DistanceSemiJoinRequest{Queries: w.pts(1, 3)}
 	default:
 		return ClosestPairRequest{Queries: w.pts(0, 3)}

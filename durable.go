@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 
-	"connquery/internal/lru"
+	"connquery/internal/rtree"
 	"connquery/internal/stats"
 	"connquery/internal/wal"
 )
@@ -38,9 +38,8 @@ import (
 
 // RecoveryStats reports what a durable open actually did, with the replay
 // path's REAL file I/O counted through the same page-fault accounting the
-// query engine uses (a page is pageSize bytes of checkpoint or WAL file;
-// with WithBufferPages the recovery reads run through an LRU buffer and
-// split into faults and hits).
+// query engine uses (a page is 4 KB of checkpoint or WAL file, and every
+// page read is a fault).
 type RecoveryStats struct {
 	Epoch           uint64 // epoch the instance recovered to
 	CheckpointBytes int64  // bytes of the checkpoint image read
@@ -48,7 +47,6 @@ type RecoveryStats struct {
 	WALRecords      int    // records replayed through the mutation path
 	TornBytes       int64  // trailing WAL bytes discarded as torn
 	PagesRead       int64  // page faults charged for recovery file reads
-	PageHits        int64  // recovery page reads absorbed by the LRU buffer
 }
 
 // durableState is a DB's attachment to its directory: the WAL writer, the
@@ -80,15 +78,6 @@ func resolveCkptEvery(n int) int {
 	return n
 }
 
-// recoveryCounter builds the page-fault accounting for a recovery pass.
-func recoveryCounter(cfg config) *stats.PageCounter {
-	pc := &stats.PageCounter{}
-	if cfg.bufferPages > 0 {
-		pc.Buffer = lru.New(cfg.bufferPages)
-	}
-	return pc
-}
-
 // OpenDurable opens (or creates) a durable database in dir.
 //
 // When dir holds durable state, the instance cold-starts from the latest
@@ -108,8 +97,8 @@ func OpenDurable(dir string, opts ...Option) (*DB, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("connquery: durable: %w", err)
 	}
-	pc := recoveryCounter(cfg)
-	ck, ckBytes, err := loadLatestCheckpoint(dir, cfg.pageSize, pc.RecordAccess)
+	pc := &stats.PageCounter{}
+	ck, ckBytes, err := loadLatestCheckpoint(dir, pc.RecordAccess)
 	if err != nil {
 		return nil, fmt.Errorf("connquery: durable: %w", err)
 	}
@@ -136,7 +125,7 @@ func OpenDurable(dir string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	scan, err := wal.ScanDir(dir, cfg.pageSize, pc.RecordAccess)
+	scan, err := wal.ScanDir(dir, rtree.DefaultPageSize, pc.RecordAccess)
 	if err != nil {
 		return nil, fmt.Errorf("connquery: durable: %w", err)
 	}
@@ -151,7 +140,6 @@ func OpenDurable(dir string, opts ...Option) (*DB, error) {
 		WALRecords:      len(applied),
 		TornBytes:       scan.TornBytes,
 		PagesRead:       pc.Faults(),
-		PageHits:        pc.Accesses() - pc.Faults(),
 	}
 	if err := attachDurable(db, dir, cfg, every, applied, rec); err != nil {
 		return nil, err

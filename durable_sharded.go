@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"connquery/internal/geom"
+	"connquery/internal/rtree"
 	"connquery/internal/stats"
 	"connquery/internal/wal"
 )
@@ -429,7 +430,7 @@ func writeRouterCkptFile(routerDir string, rc *routerCkpt) error {
 
 // loadRouterCkpt reads and parses the newest router checkpoint, charging
 // recovery page accounting. Nil data (no error) when none exists.
-func loadRouterCkpt(routerDir string, pageSize int, onPage func(int64)) (*routerCkpt, int64, error) {
+func loadRouterCkpt(routerDir string, onPage func(int64)) (*routerCkpt, int64, error) {
 	names, err := listCheckpoints(routerDir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -445,11 +446,7 @@ func loadRouterCkpt(routerDir string, pageSize int, onPage func(int64)) (*router
 	if err != nil {
 		return nil, 0, err
 	}
-	if onPage != nil && pageSize > 0 {
-		for off := 0; off < len(data); off += pageSize {
-			onPage(ckptPageBase | int64(off/pageSize))
-		}
-	}
+	chargePages(data, onPage)
 	rc, err := parseRouterCkpt(data)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%s: %w", path, err)
@@ -476,9 +473,9 @@ func OpenDurableSharded(dir string, shards int, opts ...Option) (*ShardedDB, err
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("connquery: durable: %w", err)
 	}
-	pc := recoveryCounter(cfg)
+	pc := &stats.PageCounter{}
 	routerDir := filepath.Join(dir, routerDirName)
-	rc, rcBytes, err := loadRouterCkpt(routerDir, cfg.pageSize, pageNS(routerPageNS, pc.RecordAccess))
+	rc, rcBytes, err := loadRouterCkpt(routerDir, pageNS(routerPageNS, pc.RecordAccess))
 	if err != nil {
 		return nil, fmt.Errorf("connquery: durable: %w", err)
 	}
@@ -578,7 +575,7 @@ func recoverSharded(dir string, rc *routerCkpt, rcBytes int64, cfg config, every
 	scans := make([]*shardScan, n)
 	for i := 0; i < n; i++ {
 		sd := filepath.Join(dir, shardDirName(i))
-		ck, ckBytes, err := loadLatestCheckpoint(sd, cfg.pageSize, pageNS(shardPageNS(i), pc.RecordAccess))
+		ck, ckBytes, err := loadLatestCheckpoint(sd, pageNS(shardPageNS(i), pc.RecordAccess))
 		if err != nil {
 			return nil, fmt.Errorf("connquery: durable: shard %d: %w", i, err)
 		}
@@ -592,7 +589,7 @@ func recoverSharded(dir string, rc *routerCkpt, rcBytes int64, cfg config, every
 		if db.Version() > rc.epochs[i] {
 			return nil, fmt.Errorf("connquery: durable: shard %d checkpoint (epoch %d) is newer than the router checkpoint's view (epoch %d)", i, db.Version(), rc.epochs[i])
 		}
-		sc, err := wal.ScanDir(sd, cfg.pageSize, pageNS(shardPageNS(i), pc.RecordAccess))
+		sc, err := wal.ScanDir(sd, rtree.DefaultPageSize, pageNS(shardPageNS(i), pc.RecordAccess))
 		if err != nil {
 			return nil, fmt.Errorf("connquery: durable: shard %d: %w", i, err)
 		}
@@ -665,7 +662,7 @@ func recoverSharded(dir string, rc *routerCkpt, rcBytes int64, cfg config, every
 	if err := os.MkdirAll(seqDir, 0o755); err != nil {
 		return nil, fmt.Errorf("connquery: durable: %w", err)
 	}
-	seqScan, err := wal.ScanDir(seqDir, cfg.pageSize, pageNS(seqPageNS, pc.RecordAccess))
+	seqScan, err := wal.ScanDir(seqDir, rtree.DefaultPageSize, pageNS(seqPageNS, pc.RecordAccess))
 	if err != nil {
 		return nil, fmt.Errorf("connquery: durable: sequencer: %w", err)
 	}
@@ -845,7 +842,6 @@ walk:
 	}
 	rec.Epoch = rev
 	rec.PagesRead = pc.Faults()
-	rec.PageHits = pc.Accesses() - pc.Faults()
 	s.dur = &shardedDurable{dir: dir, seq: w, since: len(acceptedSeq), every: every, rec: rec}
 	return s, nil
 }

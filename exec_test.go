@@ -53,39 +53,6 @@ func TestExecValidation(t *testing.T) {
 	}
 }
 
-// TestWithQueryTuning: a per-call override must apply to that call only and
-// leave the handle's defaults untouched, while producing the same answers
-// (tuning toggles are result-invariant by construction).
-func TestWithQueryTuning(t *testing.T) {
-	db := smallDB(t)
-	ctx := context.Background()
-	q := Seg(Pt(0, 0), Pt(100, 0))
-	want, wantM, err := Run(ctx, db, CONNRequest{Seg: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotM, err := Run(ctx, db, CONNRequest{Seg: q}, WithQueryTuning(Tuning{DisableLemma7: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tuples) != len(want.Tuples) {
-		t.Fatalf("tuning changed the answer: %d vs %d tuples", len(got.Tuples), len(want.Tuples))
-	}
-	// Disabling Lemma 7 must evaluate at least as many graph nodes; with
-	// this fixture it visibly changes nothing else.
-	if gotM.NPE < wantM.NPE {
-		t.Fatalf("NPE shrank under a disabled optimization: %d vs %d", gotM.NPE, wantM.NPE)
-	}
-	// And the next default call is unaffected.
-	_, m2, err := Run(ctx, db, CONNRequest{Seg: q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.NPE != wantM.NPE || m2.NOE != wantM.NOE || m2.SVG != wantM.SVG {
-		t.Fatalf("per-call tuning leaked into the handle: %+v vs %+v", m2, wantM)
-	}
-}
-
 // TestSnapshotPinning covers AtSnapshot/AtVersion against live mutations
 // and the Release lifecycle.
 func TestSnapshotPinning(t *testing.T) {
@@ -273,11 +240,11 @@ func TestExecContextCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled ctx: %v", err)
 	}
 
-	// Cancel mid-query, at several depths: DisableLemma7 makes the candidate
-	// scan settle far more of the graph, so the query (seconds long) reliably
-	// outlives every cancel point, and no stretch of it — IOR growth, a bulk
-	// obstacle load into the visibility graph, CPLC, Dijkstra — may run long
-	// without reaching a cancellation checkpoint.
+	// Cancel mid-query, at several depths: the full-algorithm query runs for
+	// minutes on this segment, so it reliably outlives every cancel point, and
+	// no stretch of it — IOR growth, a bulk obstacle load into the visibility
+	// graph, CPLC, Dijkstra — may run long without reaching a cancellation
+	// checkpoint.
 	type outcome struct {
 		err      error
 		returned time.Time
@@ -286,7 +253,7 @@ func TestExecContextCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan outcome, 1)
 		go func() {
-			_, err := db.Exec(ctx, CONNRequest{Seg: q}, WithQueryTuning(Tuning{DisableLemma7: true}))
+			_, err := db.Exec(ctx, CONNRequest{Seg: q})
 			done <- outcome{err: err, returned: time.Now()}
 		}()
 		time.Sleep(after)
@@ -308,7 +275,7 @@ func TestExecContextCancellation(t *testing.T) {
 	// A deadline aborts the same way, with DeadlineExceeded.
 	dctx, dcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer dcancel()
-	if _, err := db.Exec(dctx, CONNRequest{Seg: q}, WithQueryTuning(Tuning{DisableLemma7: true})); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := db.Exec(dctx, CONNRequest{Seg: q}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("deadline query returned %v, want context.DeadlineExceeded", err)
 	}
 
@@ -329,7 +296,7 @@ func TestExecBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := db.Exec(ctx, CONNBatchRequest{Segs: segs}, WithWorkers(2), WithQueryTuning(Tuning{DisableLemma7: true}))
+		_, err := db.Exec(ctx, CONNBatchRequest{Segs: segs}, WithWorkers(2))
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -344,9 +311,8 @@ func TestExecBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestPinEdgeCases covers the review-hardened corners: AtSnapshot(nil) must
-// fail loudly (not silently run live), and the DisableVGReuse+one-tree
-// misconfiguration is rejected at Open time.
+// TestPinEdgeCases covers the review-hardened corner: AtSnapshot(nil) must
+// fail loudly (not silently run live), for Exec and Watch alike.
 func TestPinEdgeCases(t *testing.T) {
 	db := smallDB(t)
 	q := Seg(Pt(0, 0), Pt(100, 0))
@@ -355,18 +321,6 @@ func TestPinEdgeCases(t *testing.T) {
 	}
 	if _, err := db.Watch(context.Background(), CONNRequest{Seg: q}, AtSnapshot(nil)); !errors.Is(err, ErrPinnedWatch) {
 		t.Fatalf("Watch with AtSnapshot(nil): %v", err)
-	}
-	points := []Point{Pt(1, 1), Pt(2, 2)}
-	if _, err := Open(points, nil, WithOneTree(), WithTuning(Tuning{DisableVGReuse: true})); err == nil {
-		t.Fatal("Open accepted DisableVGReuse with WithOneTree")
-	}
-	// The per-call override on a one-tree handle is still rejected per Exec.
-	one, err := Open(points, nil, WithOneTree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := one.Exec(context.Background(), CONNRequest{Seg: q}, WithQueryTuning(Tuning{DisableVGReuse: true})); err == nil {
-		t.Fatal("per-call DisableVGReuse accepted on a one-tree handle")
 	}
 }
 

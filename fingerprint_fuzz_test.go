@@ -8,8 +8,8 @@ package connquery
 //     DistanceRequest endpoint order all map to one key, so equal requests
 //     share one cache entry.
 //  2. Anything that can select a different execution separates: a different
-//     request kind, any parameter change, and the per-call tuning/worker
-//     options must all produce distinct keys — two requests that may answer
+//     request kind, any parameter change, and the per-call worker options
+//     must all produce distinct keys — two requests that may answer
 //     differently must never serve each other's cached answers.
 //
 // The fuzzer derives a request of every kind from raw numeric input, builds
@@ -19,8 +19,6 @@ package connquery
 import (
 	"math"
 	"testing"
-
-	"connquery/internal/core"
 )
 
 // fuzzRequests derives one request of each kind from the raw inputs.
@@ -33,7 +31,6 @@ func fuzzRequests(kind uint8, x1, y1, x2, y2, s float64, k int16) Request {
 		COkNNRequest{Seg: seg, K: kk},
 		ONNRequest{P: a, K: kk},
 		CNNRequest{Seg: seg},
-		NaiveCONNRequest{Seg: seg, Samples: kk},
 		RangeRequest{Center: a, Radius: s},
 		VisibleKNNRequest{P: b, K: kk},
 		DistanceRequest{A: a, B: b},
@@ -42,7 +39,7 @@ func fuzzRequests(kind uint8, x1, y1, x2, y2, s float64, k int16) Request {
 		EDistanceJoinRequest{Queries: []Point{a, b}, E: s},
 		DistanceSemiJoinRequest{Queries: []Point{b, a}},
 		ClosestPairRequest{Queries: []Point{a}},
-	}[int(kind)%13]
+	}[int(kind)%12]
 }
 
 // equalTwin builds a semantically equal copy of req: identical values in
@@ -73,8 +70,6 @@ func equalTwin(req Request) Request {
 		return ONNRequest{P: fp(r.P), K: r.K}
 	case CNNRequest:
 		return CNNRequest{Seg: fs(r.Seg)}
-	case NaiveCONNRequest:
-		return NaiveCONNRequest{Seg: fs(r.Seg), Samples: r.Samples}
 	case RangeRequest:
 		return RangeRequest{Center: fp(r.Center), Radius: flip(r.Radius)}
 	case VisibleKNNRequest:
@@ -101,21 +96,21 @@ func equalTwin(req Request) Request {
 
 func FuzzRequestFingerprint(f *testing.F) {
 	// Seed corpus: every request kind, plus the canonicalizer's edge cases —
-	// signed zeros, infinities, NaN, swapped distance endpoints, clamped
-	// NaiveCONN sample counts.
-	for kind := uint8(0); kind < 13; kind++ {
+	// signed zeros, infinities, NaN, swapped distance endpoints.
+	for kind := uint8(0); kind < 12; kind++ {
 		f.Add(kind, 1.5, 2.5, 3.5, 4.5, 10.0, int16(3))
 	}
-	f.Add(uint8(7), 5.0, 6.0, 1.0, 2.0, 0.0, int16(1))                  // distance, endpoints out of order
+	f.Add(uint8(6), 5.0, 6.0, 1.0, 2.0, 0.0, int16(1))                  // distance, endpoints out of order
 	f.Add(uint8(0), math.Copysign(0, -1), 0.0, 1.0, 1.0, 2.0, int16(1)) // -0.0 vs +0.0
 	f.Add(uint8(2), math.Inf(1), 0.0, 0.0, math.Inf(-1), 1.0, int16(2)) // infinities are canonical
 	f.Add(uint8(1), math.NaN(), 0.0, 1.0, 1.0, 1.0, int16(2))           // NaN: not cacheable
-	f.Add(uint8(4), 0.0, 0.0, 1.0, 1.0, 1.0, int16(-7))                 // samples clamp to 2
-	f.Add(uint8(12), 0.0, 0.0, 0.0, 0.0, 0.0, int16(0))                 // duplicate coordinates
+	f.Add(uint8(1), 0.0, 0.0, 1.0, 1.0, 1.0, int16(-7))                 // negative k
+	f.Add(uint8(11), 0.0, 0.0, 0.0, 0.0, 0.0, int16(0))                 // duplicate coordinates
+	f.Add(uint8(4), 1.0, 1.0, 0.0, 0.0, math.Copysign(0, -1), int16(0)) // range, -0.0 radius
 
 	f.Fuzz(func(t *testing.T, kind uint8, x1, y1, x2, y2, s float64, k int16) {
 		req := fuzzRequests(kind, x1, y1, x2, y2, s, k)
-		fp, ok := requestFingerprint(req, core.Options{}, 0, false)
+		fp, ok := requestFingerprint(req, 0, false)
 		hasNaN := math.IsNaN(x1) || math.IsNaN(y1) || math.IsNaN(x2) || math.IsNaN(y2) || math.IsNaN(s)
 		if !ok {
 			if !hasNaN {
@@ -126,37 +121,27 @@ func FuzzRequestFingerprint(f *testing.F) {
 
 		// Property 1: semantically equal requests collide.
 		twin := equalTwin(req)
-		tfp, tok := requestFingerprint(twin, core.Options{}, 0, false)
+		tfp, tok := requestFingerprint(twin, 0, false)
 		if !tok || tfp != fp {
 			t.Fatalf("%s: semantically equal requests fingerprint differently\n req:  %#v\n twin: %#v", req.Kind(), req, twin)
 		}
 
 		// Property 2a: a different kind with the same raw inputs separates.
 		other := fuzzRequests(kind+1, x1, y1, x2, y2, s, k)
-		if ofp, ook := requestFingerprint(other, core.Options{}, 0, false); ook && ofp == fp {
+		if ofp, ook := requestFingerprint(other, 0, false); ook && ofp == fp {
 			t.Fatalf("%s and %s collide", req.Kind(), other.Kind())
 		}
 
-		// Property 2b: tuning options separate.
-		for _, tuning := range []core.Options{
-			{DisableLemma1: true}, {DisableLemma6: true}, {DisableLemma7: true},
-			{DisableVGReuse: true}, {UseBisectionSolver: true},
-		} {
-			if tfp, tok := requestFingerprint(req, tuning, 0, false); !tok || tfp == fp {
-				t.Fatalf("%s: tuning %+v does not separate", req.Kind(), tuning)
-			}
-		}
-
-		// Property 2c: worker options separate — from the optionless request
+		// Property 2b: worker options separate — from the optionless request
 		// and from each other.
-		w2, _ := requestFingerprint(req, core.Options{}, 2, true)
-		w3, _ := requestFingerprint(req, core.Options{}, 3, true)
+		w2, _ := requestFingerprint(req, 2, true)
+		w3, _ := requestFingerprint(req, 3, true)
 		if w2 == fp || w3 == fp || w2 == w3 {
 			t.Fatalf("%s: worker options do not separate (%q %q %q)", req.Kind(), fp, w2, w3)
 		}
 
 		// Determinism: recomputation is stable.
-		if again, _ := requestFingerprint(req, core.Options{}, 0, false); again != fp {
+		if again, _ := requestFingerprint(req, 0, false); again != fp {
 			t.Fatalf("%s: fingerprint not deterministic", req.Kind())
 		}
 	})

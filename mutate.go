@@ -1,6 +1,9 @@
 package connquery
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // Mutation support with snapshot isolation. Every mutation — the four unary
 // ops below are one-member DB.Apply ticks — serializes on the DB's writer
@@ -16,6 +19,22 @@ import "math"
 // PIDs and OIDs are never reused: storage is append-only along a version
 // chain and deletions only set tombstones, so result PIDs from any version
 // remain meaningful.
+
+// ErrIDSpaceExhausted is the error of an insert that would need a PID or
+// OID beyond math.MaxInt32: IDs are int32 and never reused, so a database
+// holds at most 2³¹ points and 2³¹ obstacles over its lifetime, deleted
+// ones included.
+var ErrIDSpaceExhausted = errors.New("connquery: ID space exhausted")
+
+// nextID returns the ID the next insert into an append-only array of n
+// objects receives, or ErrIDSpaceExhausted when that ID would not fit in an
+// int32.
+func nextID(n int) (int32, error) {
+	if n < 0 || n > math.MaxInt32 {
+		return 0, ErrIDSpaceExhausted
+	}
+	return int32(n), nil
+}
 
 func validCoord(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 

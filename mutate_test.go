@@ -3,6 +3,7 @@ package connquery
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 )
@@ -138,19 +139,18 @@ func TestSaveSkipsDeleted(t *testing.T) {
 	}
 }
 
-func TestMutationOneTreeMode(t *testing.T) {
-	db := smallDB(t, WithOneTree())
-	pid, err := db.InsertPoint(Pt(50, 2))
-	if err != nil {
-		t.Fatalf("InsertPoint: %v", err)
+// TestNextIDGuardsInt32Space: the last int32 ID is still handed out, and
+// the insert after it gets ErrIDSpaceExhausted instead of a negative ID.
+func TestNextIDGuardsInt32Space(t *testing.T) {
+	for _, n := range []int{0, 41, math.MaxInt32 - 1, math.MaxInt32} {
+		if id, err := nextID(n); err != nil || int(id) != n {
+			t.Fatalf("nextID(%d) = %d, %v", n, id, err)
+		}
 	}
-	res, _, _ := Run(context.Background(), db, CONNRequest{Seg: Seg(Pt(0, 0), Pt(100, 0))})
-	mid, _ := res.OwnerAt(0.5)
-	if mid.PID != pid {
-		t.Fatalf("one-tree insert ignored: %+v", res.Tuples)
-	}
-	if !db.DeletePoint(pid) {
-		t.Fatal("one-tree delete failed")
+	for _, n := range []int{math.MaxInt32 + 1, math.MaxInt32 + 2, math.MaxInt64, -1} {
+		if id, err := nextID(n); !errors.Is(err, ErrIDSpaceExhausted) {
+			t.Fatalf("nextID(%d) = %d, %v; want ErrIDSpaceExhausted", n, id, err)
+		}
 	}
 }
 

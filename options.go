@@ -1,19 +1,11 @@
 package connquery
 
-import (
-	"time"
-
-	"connquery/internal/core"
-)
+import "time"
 
 // config holds DB construction parameters.
 type config struct {
-	pageSize    int
-	bufferPages int
-	oneTree     bool
-	cacheBytes  int64
-	noPlanner   bool
-	tuning      core.Options
+	cacheBytes int64
+	noPlanner  bool
 
 	// Durable-tier knobs, consumed by OpenDurable/OpenDurableSharded and
 	// ignored by the in-memory constructors.
@@ -24,7 +16,7 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{pageSize: 4096, cacheBytes: DefaultAnswerCacheBytes}
+	return config{cacheBytes: DefaultAnswerCacheBytes}
 }
 
 // bootstrapData is the initial dataset for a fresh durable directory.
@@ -35,26 +27,6 @@ type bootstrapData struct {
 
 // Option configures Open.
 type Option func(*config)
-
-// WithPageSize sets the simulated disk page size in bytes, which determines
-// the R-tree fanout. The paper uses 4 KB (the default).
-func WithPageSize(bytes int) Option {
-	return func(c *config) { c.pageSize = bytes }
-}
-
-// WithBufferPages installs an LRU page buffer of the given capacity in front
-// of each R-tree (the paper's Figure 12 experiment). Zero (the default)
-// means every page access is charged as a fault.
-func WithBufferPages(pages int) Option {
-	return func(c *config) { c.bufferPages = pages }
-}
-
-// WithOneTree indexes data points and obstacles in a single unified R-tree
-// (the paper's §4.5 variant, evaluated in Figure 13) instead of the default
-// two separate trees.
-func WithOneTree() Option {
-	return func(c *config) { c.oneTree = true }
-}
 
 // WithAnswerCache sets the answer cache budget in bytes
 // (DefaultAnswerCacheBytes when the option is absent). Exec serves repeated
@@ -86,43 +58,6 @@ func WithPlanner() Option {
 // cross-query coupling.
 func WithNoPlanner() Option {
 	return func(c *config) { c.noPlanner = true }
-}
-
-// Tuning toggles individual algorithmic optimizations, primarily for
-// ablation studies. The zero value is the full algorithm as published.
-type Tuning struct {
-	// DisableLemma1 turns off the endpoint-dominance shortcut in the
-	// result-list update.
-	DisableLemma1 bool
-	// DisableLemma6 turns off the triangle refinement of candidate control
-	// regions in control-point-list computation.
-	DisableLemma6 bool
-	// DisableLemma7 turns off the CPLMAX early-termination bound in
-	// control-point-list computation.
-	DisableLemma7 bool
-	// DisableVGReuse rebuilds the local visibility graph for every data
-	// point instead of sharing it across the whole query.
-	DisableVGReuse bool
-	// UseBisectionSolver replaces the closed-form quadratic split-point
-	// solver with a numeric grid-plus-bisection root finder.
-	UseBisectionSolver bool
-}
-
-// toCore maps the public ablation switches onto the engine's options.
-func (t Tuning) toCore() core.Options {
-	return core.Options{
-		DisableLemma1:      t.DisableLemma1,
-		DisableLemma6:      t.DisableLemma6,
-		DisableLemma7:      t.DisableLemma7,
-		DisableVGReuse:     t.DisableVGReuse,
-		UseBisectionSolver: t.UseBisectionSolver,
-	}
-}
-
-// WithTuning applies ablation switches to every query on the handle;
-// WithQueryTuning overrides them for a single Exec call.
-func WithTuning(t Tuning) Option {
-	return func(c *config) { c.tuning = t.toCore() }
 }
 
 // WithBootstrapData supplies the initial dataset for OpenDurable and

@@ -2,7 +2,7 @@ package connquery
 
 // The execution planner's differential harness: a planner-enabled handle and
 // a WithNoPlanner twin receive the identical lockstep mutation sequence
-// while concurrent readers storm overlapping requests across all 13 kinds,
+// while concurrent readers storm overlapping requests across all 12 kinds,
 // and every answer pair — executed at the same pinned epoch on both handles
 // — must be bit-identical in payload, epoch and the machine-independent
 // metrics (NPE/NOE/|SVG|/Reach). That is the planner's whole contract: a
@@ -211,7 +211,7 @@ func ensurePlannerEngaged(t *testing.T, h *twinHarness) {
 }
 
 // TestPlannerDifferentialStorm is the single-node headline proof: 8 readers
-// storm all 13 request kinds against a mutating planner handle and its
+// storm all 12 request kinds against a mutating planner handle and its
 // WithNoPlanner twin, every answer pair bit-identical, and the planner is
 // then shown to have actually built and shared tables (the differential
 // would be vacuous against a planner that never engaged).

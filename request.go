@@ -18,7 +18,7 @@ import (
 // This file is the request-based query surface: every query the database
 // answers is a first-class Request value executed by one path —
 // DB.Exec(ctx, req, opts...) — that handles validation, version resolution
-// (AtVersion / AtSnapshot), per-query tuning, worker pooling and context
+// (AtVersion / AtSnapshot), worker pooling, the answer cache and context
 // cancellation uniformly. DB.Watch (watch.go) re-executes a Request against
 // every freshly published MVCC version.
 
@@ -98,7 +98,6 @@ type execOptions struct {
 	bySSnap bool
 	epoch   uint64
 	byEpoch bool
-	tuning  *Tuning
 	workers int
 	hasWork bool
 	noCache bool
@@ -133,13 +132,6 @@ func AtVersion(epoch uint64) QueryOption {
 	}
 }
 
-// WithQueryTuning overrides the DB's ablation switches for this call only,
-// so one handle can serve both the full algorithm and ablated variants
-// concurrently.
-func WithQueryTuning(t Tuning) QueryOption {
-	return func(o *execOptions) { o.tuning = &t }
-}
-
 // WithNoCache bypasses the answer cache for this call: the request executes
 // on the engine unconditionally and its answer is not inserted. Use it when
 // a fresh cost profile (Metrics) matters — cache hits replay the metrics of
@@ -152,12 +144,12 @@ func WithNoCache() QueryOption {
 // WithWorkers runs a multi-item request (CONNBatchRequest,
 // EDistanceJoinRequest, DistanceSemiJoinRequest, TrajectoryRequest) on a
 // bounded pool of n workers, each with its own engine view — shared
-// immutable indexes, private page counters, private (optional) LRU buffer
-// and private warm query state. For single-item requests it instead engages
-// intra-query parallelism: the candidate sight-line batches of obstacle
-// insertion and CPLC's per-candidate visible-region computation fan across
-// a pool of n lanes inside the one execution, with the answer — payload and
-// NPE/NOE/|SVG| metrics — bit-identical to the sequential path. n <= 0
+// immutable indexes, private page counters and private warm query state.
+// For single-item requests it instead engages intra-query parallelism: the
+// candidate sight-line batches of obstacle insertion and CPLC's
+// per-candidate visible-region computation fan across a pool of n lanes
+// inside the one execution, with the answer — payload and NPE/NOE/|SVG|
+// metrics — bit-identical to the sequential path. n <= 0
 // selects GOMAXPROCS, so on a single-CPU machine the option resolves to the
 // sequential path; absent the option, execution is always sequential.
 func WithWorkers(n int) QueryOption {
@@ -212,8 +204,8 @@ func (a *Answer) Metrics() Metrics { return a.metrics }
 // Value returns the untyped answer payload.
 func (a *Answer) Value() any { return a.value }
 
-// Result returns the CONN-family payload (CONNRequest, CNNRequest,
-// NaiveCONNRequest), or nil for other requests.
+// Result returns the CONN-family payload (CONNRequest, CNNRequest), or nil
+// for other requests.
 func (a *Answer) Result() *Result { r, _ := a.value.(*Result); return r }
 
 // KResult returns the COkNN payload, or nil.
@@ -257,7 +249,6 @@ type execution struct {
 	v      *version
 	eng    *core.Engine
 	cancel func() error
-	opts   core.Options
 	xo     *execOptions
 	items  []Metrics
 }
@@ -314,22 +305,16 @@ func (db *DB) execAt(ctx context.Context, req Request, v *version, xo *execOptio
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	tuning := db.cfg.tuning
-	if xo.tuning != nil {
-		tuning = xo.tuning.toCore()
-	}
 	// WithWorkers on a single-item request engages the intra-query pool via
 	// the engine options; multi-item requests run their own inter-query pool
-	// instead, and their worker engines zero this field (workerEngine).
+	// instead, and their worker engines leave it unset (workerEngine).
+	var opts core.Options
 	if xo.hasWork {
 		if n := xo.workers; n > 0 {
-			tuning.Workers = n
+			opts.Workers = n
 		} else {
-			tuning.Workers = runtime.GOMAXPROCS(0)
+			opts.Workers = runtime.GOMAXPROCS(0)
 		}
-	}
-	if tuning.DisableVGReuse && v.eng.OneTree() {
-		return nil, errors.New("connquery: DisableVGReuse is incompatible with WithOneTree")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -341,7 +326,7 @@ func (db *DB) execAt(ctx context.Context, req Request, v *version, xo *execOptio
 	useCache := db.cache != nil && !xo.noCache
 	if useCache {
 		var ok bool
-		if fp, ok = requestFingerprint(req, tuning, xo.workers, xo.hasWork); !ok {
+		if fp, ok = requestFingerprint(req, xo.workers, xo.hasWork); !ok {
 			useCache = false
 		} else if rec, hit := db.cache.Get(fp, v.epoch); hit {
 			ca := rec.(*cachedAnswer)
@@ -367,18 +352,17 @@ func (db *DB) execAt(ctx context.Context, req Request, v *version, xo *execOptio
 	}
 	// The fast path executes on the version's own engine. A per-call engine
 	// view — same trees, same page counters, so accounting is unchanged — is
-	// built only when this call needs private Opts, a cancellation hook or a
-	// planner-shared table.
+	// built only when this call needs intra-query lanes, a cancellation hook
+	// or a planner-shared table.
 	eng := v.eng
-	if cancel != nil || xo.tuning != nil || tuning.Workers > 1 || shared != nil {
+	if cancel != nil || opts.Workers > 1 || shared != nil {
 		eng = &core.Engine{
 			Data:        v.eng.Data,
 			Obst:        v.eng.Obst,
-			Unified:     v.eng.Unified,
 			Obstacles:   v.eng.Obstacles,
 			Kernel:      v.eng.Kernel,
 			Shared:      shared,
-			Opts:        tuning,
+			Opts:        opts,
 			Epoch:       v.epoch,
 			States:      v.eng.States,
 			DataCounter: v.eng.DataCounter,
@@ -386,7 +370,7 @@ func (db *DB) execAt(ctx context.Context, req Request, v *version, xo *execOptio
 			Cancel:      cancel,
 		}
 	}
-	x := &execution{ctx: ctx, db: db, v: v, eng: eng, cancel: cancel, opts: tuning, xo: xo}
+	x := &execution{ctx: ctx, db: db, v: v, eng: eng, cancel: cancel, xo: xo}
 	value, m, err := x.guarded(req)
 	if err != nil {
 		return nil, err
@@ -416,13 +400,11 @@ func (x *execution) guarded(req Request) (value any, m Metrics, err error) {
 }
 
 // workerEngine builds one batch worker's private engine view: shared
-// immutable indexes, fresh page counters, a fresh optional LRU buffer and a
-// private query-state pool, plus this call's tuning and cancellation hook.
+// immutable indexes, fresh page counters and a private query-state pool,
+// plus this call's cancellation hook. It runs without intra-query lanes:
+// the pool parallelizes across items already.
 func (x *execution) workerEngine() *core.Engine {
-	cfg := x.db.cfg
-	cfg.tuning = x.opts
-	cfg.tuning.Workers = 0 // the pool parallelizes across items already
-	eng, _, _ := viewEngine(x.v, cfg, nil)
+	eng := viewEngine(x.v, nil)
 	eng.Cancel = x.cancel
 	// Workers of a multi-item request share the call's planner table: the
 	// per-item executions are exactly the members the group was formed for.
@@ -570,23 +552,6 @@ func (CNNRequest) answer() *Result   { return nil }
 func (r CNNRequest) validate() error { return validateSegment(r.Seg) }
 func (r CNNRequest) run(x *execution) (any, Metrics, error) {
 	res, m := x.eng.CNN(r.Seg)
-	return res, m, nil
-}
-
-// NaiveCONNRequest is the §1 sampling baseline: an ONN query at Samples+1
-// evenly spaced positions. Approximate and slow by design. Answer payload:
-// *Result.
-type NaiveCONNRequest struct {
-	Seg     Segment
-	Samples int
-}
-
-// Kind implements Request.
-func (NaiveCONNRequest) Kind() string      { return "NaiveCONN" }
-func (NaiveCONNRequest) answer() *Result   { return nil }
-func (r NaiveCONNRequest) validate() error { return validateSegment(r.Seg) }
-func (r NaiveCONNRequest) run(x *execution) (any, Metrics, error) {
-	res, m := x.eng.NaiveCONN(r.Seg, r.Samples)
 	return res, m, nil
 }
 

@@ -70,9 +70,6 @@ func (s *Server) execOptions(env *ExecRequest) (opts []connquery.QueryOption, re
 	} else if env.AtVersion != nil {
 		opts = append(opts, connquery.AtVersion(*env.AtVersion))
 	}
-	if env.Tuning != nil {
-		opts = append(opts, connquery.WithQueryTuning(env.Tuning.lib()))
-	}
 	if env.Workers != nil {
 		opts = append(opts, connquery.WithWorkers(*env.Workers))
 	}
@@ -84,15 +81,12 @@ func (s *Server) execOptions(env *ExecRequest) (opts []connquery.QueryOption, re
 
 // watchOptions is execOptions for a watch: pinning fields are rejected up
 // front (Watch would reject them anyway; failing here gives the client a
-// clear 400 before the stream starts), tuning and workers pass through.
+// clear 400 before the stream starts), workers and no_cache pass through.
 func (env *ExecRequest) watchOptions() ([]connquery.QueryOption, error) {
 	if env.Snapshot != nil || env.AtVersion != nil {
 		return nil, connquery.ErrPinnedWatch
 	}
 	var opts []connquery.QueryOption
-	if env.Tuning != nil {
-		opts = append(opts, connquery.WithQueryTuning(env.Tuning.lib()))
-	}
 	if env.Workers != nil {
 		opts = append(opts, connquery.WithWorkers(*env.Workers))
 	}

@@ -138,7 +138,6 @@ func TestExecAllKinds(t *testing.T) {
 		{ExecEnv{Kind: "CONN", Seg: q}, connquery.CONNRequest{Seg: qseg}},
 		{ExecEnv{Kind: "CNN", Seg: q}, connquery.CNNRequest{Seg: qseg}},
 		{ExecEnv{Kind: "COkNN", Seg: q, K: 2}, connquery.COkNNRequest{Seg: qseg, K: 2}},
-		{ExecEnv{Kind: "NaiveCONN", Seg: q, Samples: 16}, connquery.NaiveCONNRequest{Seg: qseg, Samples: 16}},
 		{ExecEnv{Kind: "ONN", P: pt(0, 0), K: 2}, connquery.ONNRequest{P: connquery.Pt(0, 0), K: 2}},
 		{ExecEnv{Kind: "VisibleKNN", P: pt(0, 0), K: 2}, connquery.VisibleKNNRequest{P: connquery.Pt(0, 0), K: 2}},
 		{ExecEnv{Kind: "ObstructedRange", Center: pt(0, 0), Radius: 70},
@@ -449,6 +448,12 @@ func TestExecErrors(t *testing.T) {
 		{"unpinned version", ExecEnv{Kind: "CONN", Seg: seg(0, 0, 100, 0), AtVersion: &bad}, http.StatusGone},
 		{"unknown snapshot", ExecEnv{Kind: "CONN", Seg: seg(0, 0, 100, 0), Snapshot: &bad}, http.StatusGone},
 		{"unknown envelope field", map[string]any{"kind": "CONN", "sge": 1}, http.StatusBadRequest},
+		// The lab's ablation block, sampling field and NaiveCONN kind are
+		// not part of the wire surface.
+		{"removed tuning block", map[string]any{"kind": "CONN", "seg": seg(0, 0, 100, 0),
+			"tuning": map[string]bool{"disable_lemma7": true}}, http.StatusBadRequest},
+		{"removed samples field", map[string]any{"kind": "CONN", "seg": seg(0, 0, 100, 0), "samples": 16}, http.StatusBadRequest},
+		{"removed NaiveCONN kind", ExecEnv{Kind: "NaiveCONN", Seg: seg(0, 0, 100, 0)}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -165,34 +165,22 @@ type Metrics struct {
 	Reach      Float `json:"reach"`
 }
 
-// Tuning is the wire form of connquery.Tuning, the per-call ablation
-// switches.
-type Tuning struct {
-	DisableLemma1      bool `json:"disable_lemma1,omitempty"`
-	DisableLemma6      bool `json:"disable_lemma6,omitempty"`
-	DisableLemma7      bool `json:"disable_lemma7,omitempty"`
-	DisableVGReuse     bool `json:"disable_vg_reuse,omitempty"`
-	UseBisectionSolver bool `json:"use_bisection_solver,omitempty"`
-}
-
 // ExecRequest is the envelope decoded by POST /v1/exec and GET/POST
 // /v1/watch. Kind selects the query family; the parameter fields that
 // family needs must be set (the others are ignored). The option fields map
 // onto the library's QueryOptions: at_version/snapshot pin an MVCC version
 // (exec only — a watch follows the live chain by definition), workers pools
-// a multi-item request, tuning overrides the ablation switches for this
-// call, no_cache bypasses the answer cache (a bypassed exec always runs
-// the engine and reports a fresh cost profile), and timeout_ms bounds the
-// execution (capped by the server's configured maximum). limit applies to
-// watches only: the stream closes after that many updates (0 = until
-// disconnect).
+// a multi-item request, no_cache bypasses the answer cache (a bypassed exec
+// always runs the engine and reports a fresh cost profile), and timeout_ms
+// bounds the execution (capped by the server's configured maximum). limit
+// applies to watches only: the stream closes after that many updates (0 =
+// until disconnect).
 type ExecRequest struct {
 	Kind string `json:"kind"`
 
 	// Query parameters, by kind:
 	//   CONN, CNN          — seg
 	//   COkNN              — seg, k
-	//   NaiveCONN          — seg, samples
 	//   ONN, VisibleKNN    — p, k
 	//   ObstructedRange    — center, radius
 	//   ObstructedDist     — a, b
@@ -208,7 +196,6 @@ type ExecRequest struct {
 	B         *Point    `json:"b,omitempty"`
 	Center    *Point    `json:"center,omitempty"`
 	K         int       `json:"k,omitempty"`
-	Samples   int       `json:"samples,omitempty"`
 	Radius    float64   `json:"radius,omitempty"`
 	E         float64   `json:"e,omitempty"`
 	Waypoints []Point   `json:"waypoints,omitempty"`
@@ -218,7 +205,6 @@ type ExecRequest struct {
 	AtVersion *uint64 `json:"at_version,omitempty"`
 	Snapshot  *uint64 `json:"snapshot,omitempty"`
 	Workers   *int    `json:"workers,omitempty"`
-	Tuning    *Tuning `json:"tuning,omitempty"`
 	NoCache   bool    `json:"no_cache,omitempty"`
 	TimeoutMS int64   `json:"timeout_ms,omitempty"`
 	Limit     int     `json:"limit,omitempty"`
@@ -506,7 +492,7 @@ func EncodeAnswer(ans *connquery.Answer) *ExecResponse {
 		}
 	}
 	switch ans.Request().(type) {
-	case connquery.CONNRequest, connquery.CNNRequest, connquery.NaiveCONNRequest:
+	case connquery.CONNRequest, connquery.CNNRequest:
 		resp.Result = wireResult(ans.Result())
 	case connquery.COkNNRequest:
 		resp.KResult = wireKResult(ans.KResult())
@@ -567,11 +553,6 @@ func (e *ExecRequest) ToRequest() (connquery.Request, error) {
 			return nil, need("COkNN", "seg")
 		}
 		return connquery.COkNNRequest{Seg: e.Seg.lib(), K: e.K}, nil
-	case "naiveconn":
-		if e.Seg == nil {
-			return nil, need("NaiveCONN", "seg")
-		}
-		return connquery.NaiveCONNRequest{Seg: e.Seg.lib(), Samples: e.Samples}, nil
 	case "onn":
 		if e.P == nil {
 			return nil, need("ONN", "p")
@@ -618,16 +599,6 @@ func (e *ExecRequest) ToRequest() (connquery.Request, error) {
 		return nil, fmt.Errorf("missing request kind")
 	}
 	return nil, fmt.Errorf("unknown request kind %q", e.Kind)
-}
-
-func (t *Tuning) lib() connquery.Tuning {
-	return connquery.Tuning{
-		DisableLemma1:      t.DisableLemma1,
-		DisableLemma6:      t.DisableLemma6,
-		DisableLemma7:      t.DisableLemma7,
-		DisableVGReuse:     t.DisableVGReuse,
-		UseBisectionSolver: t.UseBisectionSolver,
-	}
 }
 
 // timeout returns the effective execution deadline for this request: the

@@ -1,7 +1,7 @@
 package connquery
 
 // The sharded differential harness: a ShardedDB and a single-node DB (the
-// "twin") receive the identical randomized operation sequence — all 13
+// "twin") receive the identical randomized operation sequence — all 12
 // request kinds interleaved with point/obstacle insertions and deletions,
 // cache-hitting re-issues, snapshot-pinned and AtVersion reads — and every
 // single sharded answer must be bit-identical to the twin's: same payload,

@@ -208,9 +208,6 @@ func OpenSharded(points []Point, obstacles []Rect, shards int, opts ...Option) (
 	if len(points) == 0 {
 		return nil, errors.New("connquery: no data points")
 	}
-	if cfg.tuning.DisableVGReuse && cfg.oneTree {
-		return nil, errors.New("connquery: DisableVGReuse is incompatible with WithOneTree")
-	}
 	for i, p := range points {
 		if !validPoint(p) {
 			return nil, fmt.Errorf("connquery: point %d has a non-finite coordinate: %v", i, p)
@@ -385,6 +382,9 @@ func (s *ShardedDB) InsertPoint(p Point) (int32, error) {
 	sh := s.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if err := s.gidRoom(false); err != nil {
+		return 0, err
+	}
 	lid, err := sh.db.InsertPoint(p)
 	if err != nil {
 		// The shard holds every obstacle intersecting p's cell, hence every
@@ -460,6 +460,9 @@ func (s *ShardedDB) InsertObstacle(r Rect) (int32, error) {
 			targets[i].mu.Unlock()
 		}
 	}()
+	if err := s.gidRoom(true); err != nil {
+		return 0, err
+	}
 	// Validate on every replica before applying to any: a swallow hit on
 	// shard 3 must not leave the obstacle half-inserted on shards 1-2.
 	for _, sh := range targets {
@@ -494,6 +497,23 @@ func (s *ShardedDB) InsertObstacle(r Rect) (int32, error) {
 	return gid, nil
 }
 
+// gidRoom returns ErrIDSpaceExhausted unless an insert whose caller holds a
+// shard lock is sure to receive an in-range global PID (or OID, for
+// obstacles) when it commits. Every insert between this check and its
+// commit holds at least one shard lock too, so at most numShards-1 others
+// can claim an ID first; the check keeps room for all of them, and a
+// failed insert touches no shard.
+func (s *ShardedDB) gidRoom(obstacles bool) error {
+	s.seqMu.RLock()
+	n := len(s.p2s)
+	if obstacles {
+		n = len(s.o2s)
+	}
+	s.seqMu.RUnlock()
+	_, err := nextID(n + len(s.shards) - 1)
+	return err
+}
+
 // swallowedPoint reports whether inserting r on this shard would strictly
 // contain a live point, and that point's local PID — the same check
 // DB.InsertObstacle performs, run separately so the router can validate all
@@ -501,8 +521,8 @@ func (s *ShardedDB) InsertObstacle(r Rect) (int32, error) {
 func (sh *shardUnit) swallowedPoint(r Rect) (int32, bool) {
 	v := sh.db.current()
 	blocked := int32(-1)
-	v.pointTree().View(nil).Search(r, func(it rtree.Item) bool {
-		if it.Kind == rtree.KindPoint && !v.deletedPts[it.ID] && r.ContainsOpen(v.points[it.ID]) {
+	v.eng.Data.View(nil).Search(r, func(it rtree.Item) bool {
+		if !v.deletedPts[it.ID] && r.ContainsOpen(v.points[it.ID]) {
 			blocked = it.ID
 			return false
 		}

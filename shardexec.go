@@ -136,9 +136,9 @@ func (s *ShardedDB) execRouted(ctx context.Context, req Request, xo *execOptions
 	base := requestBaseBox(req)
 	s.routerExecs.Add(1)
 	s.broadcastCost.Add(int64(s.m.numShards()))
-	// The inner options forward tuning/workers/cache choices but never the
+	// The inner options forward the workers and cache choices but never the
 	// pin: the executing world's version is supplied explicitly.
-	inner := &execOptions{tuning: xo.tuning, workers: xo.workers, hasWork: xo.hasWork, noCache: xo.noCache}
+	inner := &execOptions{workers: xo.workers, hasWork: xo.hasWork, noCache: xo.noCache}
 	for {
 		s.shardExecs.Add(int64(span.size()))
 		if span.single() {

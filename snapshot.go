@@ -25,8 +25,8 @@ var snapshotMagic = [8]byte{'C', 'O', 'N', 'N', 'Q', 'v', '1', '\n'}
 // Save writes the database's point and obstacle sets to w in the snapshot
 // format. The version current when Save starts is pinned for the whole
 // write, so a snapshot taken under concurrent mutation is still internally
-// consistent. Construction options (page size, buffers, one-tree) are
-// runtime configuration and are not persisted; pass them to Load.
+// consistent. Construction options (answer cache, planner) are runtime
+// configuration and are not persisted; pass them to Load.
 func (db *DB) Save(w io.Writer) error {
 	v := db.current()
 	bw := bufio.NewWriter(w)

@@ -75,7 +75,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := db.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
-	db2, err := LoadFile(path, WithOneTree())
+	db2, err := LoadFile(path)
 	if err != nil {
 		t.Fatalf("LoadFile: %v", err)
 	}

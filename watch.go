@@ -188,10 +188,9 @@ func (db *DB) WatchStats() WatchStats { return db.watch.stats() }
 // exerts backpressure and intermediate epochs coalesce rather than queue.
 //
 // The watch runs until ctx is cancelled (the channel is then closed) or an
-// execution fails (one errored Update, then close). WithQueryTuning and
-// WithWorkers apply to every re-execution; pinning options
-// (AtVersion/AtSnapshot) are rejected with ErrPinnedWatch, since a watch
-// follows the live chain by definition.
+// execution fails (one errored Update, then close). WithWorkers applies to
+// every re-execution; pinning options (AtVersion/AtSnapshot) are rejected
+// with ErrPinnedWatch, since a watch follows the live chain by definition.
 func (db *DB) Watch(ctx context.Context, req Request, opts ...QueryOption) (<-chan Update, error) {
 	return startWatch(ctx, &db.watch, db, req, opts)
 }
