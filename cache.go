@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"connquery/internal/anscache"
-	"connquery/internal/geom"
 )
 
 // The answer cache. Exec keys every cacheable execution by a canonical
@@ -58,7 +57,9 @@ type cachedAnswer struct {
 
 // Fingerprint layout: one schema byte, one request-kind tag, the request's
 // parameters as little-endian normalized float64 bits (lengths prefix every
-// slice), then the per-call worker option.
+// slice), then the per-call worker option. Each request type writes its
+// tag and parameters in its fingerprint method (request.go); the tags
+// below fix the byte each kind writes.
 // The full canonical byte string is the cache key — no hashing, so distinct
 // requests can never collide and serve each other's answers.
 const fpSchema byte = 1
@@ -104,6 +105,7 @@ func (w *fpWriter) f64(v float64) {
 }
 
 func (w *fpWriter) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+func (w *fpWriter) int(v int)    { w.u64(uint64(int64(v))) }
 func (w *fpWriter) byte(b byte)  { w.buf = append(w.buf, b) }
 
 func (w *fpWriter) point(p Point) { w.f64(p.X); w.f64(p.Y) }
@@ -133,70 +135,12 @@ func pointLess(a, b Point) bool {
 func requestFingerprint(req Request, workers int, hasWorkers bool) (string, bool) {
 	w := fpWriter{buf: make([]byte, 0, 64), ok: true}
 	w.byte(fpSchema)
-	switch r := req.(type) {
-	case CONNRequest:
-		w.byte(fpCONN)
-		w.seg(r.Seg)
-	case COkNNRequest:
-		w.byte(fpCOkNN)
-		w.seg(r.Seg)
-		w.u64(uint64(int64(r.K)))
-	case ONNRequest:
-		w.byte(fpONN)
-		w.point(r.P)
-		w.u64(uint64(int64(r.K)))
-	case CNNRequest:
-		w.byte(fpCNN)
-		w.seg(r.Seg)
-	case RangeRequest:
-		w.byte(fpRange)
-		w.point(r.Center)
-		w.f64(r.Radius)
-	case VisibleKNNRequest:
-		w.byte(fpVisibleKNN)
-		w.point(r.P)
-		w.u64(uint64(int64(r.K)))
-	case DistanceRequest:
-		w.byte(fpDistance)
-		// Obstructed distance is symmetric: canonicalize the endpoint order
-		// so DistanceRequest{A, B} and DistanceRequest{B, A} share an entry.
-		a, b := r.A, r.B
-		if math.IsNaN(a.X) || math.IsNaN(a.Y) || math.IsNaN(b.X) || math.IsNaN(b.Y) {
-			return "", false
-		}
-		if pointLess(b, a) {
-			a, b = b, a
-		}
-		w.point(a)
-		w.point(b)
-	case TrajectoryRequest:
-		w.byte(fpTrajectory)
-		w.points(r.Waypoints)
-	case CONNBatchRequest:
-		w.byte(fpCONNBatch)
-		w.u64(uint64(len(r.Segs)))
-		for _, s := range r.Segs {
-			w.seg(s)
-		}
-	case EDistanceJoinRequest:
-		w.byte(fpEDistanceJoin)
-		w.points(r.Queries)
-		w.f64(r.E)
-	case DistanceSemiJoinRequest:
-		w.byte(fpDistanceSemiJoin)
-		w.points(r.Queries)
-	case ClosestPairRequest:
-		w.byte(fpClosestPair)
-		w.points(r.Queries)
-	default:
-		return "", false // unknown request implementation: never cache
-	}
-
+	req.fingerprint(&w)
 	// Workers change ItemMetrics, so pooled and sequential executions keep
 	// separate entries.
 	if hasWorkers {
 		w.byte(1)
-		w.u64(uint64(int64(workers)))
+		w.int(workers)
 	} else {
 		w.byte(0)
 	}
@@ -209,169 +153,38 @@ func requestFingerprint(req Request, workers int, hasWorkers bool) (string, bool
 // ---------------------------------------------------------------------------
 // Impact regions
 
-// segBox returns the bounding box of a segment.
-func segBox(s Segment) geom.Rect { return geom.RectFromPoints(s.A, s.B) }
-
-// regionAround builds the both-sensitive region: rect inflated by maxd.
-func regionAround(rect geom.Rect, maxd float64) anscache.Region {
-	if math.IsInf(maxd, 1) {
-		return anscache.Everywhere()
+// answerRegion is the one cache region of every answer, built from the
+// request's own geometry: its base box inflated by the answer radius (the
+// impact region: a mutation of a kind the request is sensitive to, whose
+// change box intersects it, may change the answer; any other mutation
+// provably leaves it bit-identical), united with the base box inflated by
+// the execution's reach (the retrieval footprint: every object the
+// execution consulted). The union makes cache entries trace-exact: a
+// mutation that survives invalidation lies outside everything the
+// execution consulted, so a fresh run at the promoted epoch retrieves the
+// same object sequence and reproduces not just the payload but the
+// NPE/NOE/|SVG|/Reach metrics bit for bit. The sharded tier's differential
+// guarantee rests on this: cached and freshly executed answers are
+// indistinguishable, wherever (single node, shard, or shard-union mirror)
+// they were produced. The same region is the watch wake filter and the
+// motion horizon's target.
+func answerRegion(req Request, value any, reach float64) anscache.Region {
+	bb := req.baseBox()
+	if bb.Empty() {
+		return anscache.Nothing() // zero-query answers consult no objects
 	}
-	return anscache.Region{Rect: rect.Buffer(maxd), Points: true, Obstacles: true}
-}
-
-// impactRegion computes the conservative impact region of one answer: a
-// mutation of a kind the region is sensitive to, whose change box
-// intersects it, may change the answer; any other mutation provably leaves
-// the answer bit-identical. value is the executed payload for req.
-func impactRegion(req Request, value any) anscache.Region {
-	switch r := req.(type) {
-	case CONNRequest:
-		return regionAround(segBox(r.Seg), value.(*Result).MaxDist)
-	case COkNNRequest:
-		return regionAround(segBox(r.Seg), value.(*KResult).MaxDist)
-	case CNNRequest:
-		// Euclidean: obstacles never enter the answer.
-		res := value.(*Result)
-		if math.IsInf(res.MaxDist, 1) {
-			return anscache.Region{Rect: anscache.InfiniteRect(), Points: true}
-		}
-		return anscache.Region{Rect: segBox(r.Seg).Buffer(res.MaxDist), Points: true}
-	case ONNRequest:
-		return regionAround(geom.RectFromPoints(r.P), knnRadius(value.([]Neighbor), r.K))
-	case VisibleKNNRequest:
-		return regionAround(geom.RectFromPoints(r.P), knnRadius(value.([]Neighbor), r.K))
-	case RangeRequest:
-		return regionAround(geom.RectFromPoints(r.Center), r.Radius)
-	case DistanceRequest:
-		// Data points never enter an obstructed-distance computation.
-		d := value.(float64)
-		if math.IsInf(d, 1) {
-			return anscache.Region{Rect: anscache.InfiniteRect(), Obstacles: true}
-		}
-		return anscache.Region{Rect: geom.RectFromPoints(r.A, r.B).Buffer(d), Obstacles: true}
-	case TrajectoryRequest:
-		tr := value.(*TrajectoryResult)
-		if len(tr.Legs) == 0 {
-			return anscache.Everywhere() // unreachable: validation rejects all-degenerate
-		}
-		rect := segBox(tr.Legs[0].Q)
-		maxd := 0.0
-		for _, leg := range tr.Legs {
-			rect = rect.Union(segBox(leg.Q))
-			maxd = math.Max(maxd, leg.MaxDist)
-		}
-		return regionAround(rect, maxd)
-	case CONNBatchRequest:
-		results := value.([]*Result)
-		if len(results) == 0 {
-			return anscache.Nothing() // an empty batch is constant forever
-		}
-		rect := segBox(results[0].Q)
-		maxd := 0.0
-		for _, res := range results {
-			rect = rect.Union(segBox(res.Q))
-			maxd = math.Max(maxd, res.MaxDist)
-		}
-		return regionAround(rect, maxd)
-	case EDistanceJoinRequest:
-		if len(r.Queries) == 0 {
-			return anscache.Nothing()
-		}
-		return regionAround(geom.RectFromPoints(r.Queries...), r.E)
-	case DistanceSemiJoinRequest:
-		if len(r.Queries) == 0 {
-			return anscache.Nothing()
-		}
-		pairs := value.([]JoinPair)
-		maxd := math.Inf(1)
-		if len(pairs) > 0 {
-			maxd = pairs[len(pairs)-1].Dist // sorted ascending: the last is the max
-		}
-		return regionAround(geom.RectFromPoints(r.Queries...), maxd)
-	case ClosestPairRequest:
-		if len(r.Queries) == 0 {
-			return anscache.Nothing()
-		}
-		return regionAround(geom.RectFromPoints(r.Queries...), value.(JoinPair).Dist)
-	}
-	return anscache.Everywhere() // unknown payload: only blanket safety remains
-}
-
-// requestBaseBox returns the bounding box of a request's own query geometry
-// (segments, centers, waypoints), independent of the answer. It is the seed
-// of the retrieval footprint: every object an execution consults lies within
-// Metrics.Reach of this box. Empty (inverted) for zero-query requests.
-func requestBaseBox(req Request) geom.Rect {
-	switch r := req.(type) {
-	case CONNRequest:
-		return segBox(r.Seg)
-	case COkNNRequest:
-		return segBox(r.Seg)
-	case CNNRequest:
-		return segBox(r.Seg)
-	case ONNRequest:
-		return geom.RectFromPoints(r.P)
-	case VisibleKNNRequest:
-		return geom.RectFromPoints(r.P)
-	case RangeRequest:
-		return geom.RectFromPoints(r.Center)
-	case DistanceRequest:
-		return geom.RectFromPoints(r.A, r.B)
-	case TrajectoryRequest:
-		return geom.RectFromPoints(r.Waypoints...)
-	case CONNBatchRequest:
-		box := geom.RectFromPoints()
-		for _, s := range r.Segs {
-			box = box.Union(segBox(s))
-		}
-		return box
-	case EDistanceJoinRequest:
-		return geom.RectFromPoints(r.Queries...)
-	case DistanceSemiJoinRequest:
-		return geom.RectFromPoints(r.Queries...)
-	case ClosestPairRequest:
-		return geom.RectFromPoints(r.Queries...)
-	}
-	return anscache.InfiniteRect() // unknown request: no footprint bound
-}
-
-// widenRegion unions an answer's impact region with its retrieval footprint
-// (the request's base box inflated by the execution's reach), making cache
-// entries trace-exact: a mutation that survives invalidation lies outside
-// everything the execution consulted, so a fresh run at the promoted epoch
-// retrieves the same object sequence and reproduces not just the payload
-// but the NPE/NOE/|SVG|/Reach metrics bit for bit. The sharded tier's
-// differential guarantee rests on this: cached and freshly executed answers
-// are indistinguishable, wherever (single node, shard, or shard-union
-// mirror) they were produced.
-func widenRegion(rg anscache.Region, req Request, reach float64) anscache.Region {
-	if !rg.Points && !rg.Obstacles {
-		return rg // Nothing: zero-query answers consult no objects
-	}
-	if math.IsInf(reach, 1) {
+	var rg anscache.Region
+	rg.Points, rg.Obstacles = req.sensitive()
+	if d := req.radius(value); math.IsInf(d, 1) || math.IsInf(reach, 1) {
 		rg.Rect = anscache.InfiniteRect()
-		return rg
-	}
-	if bb := requestBaseBox(req); !bb.Empty() {
-		rg.Rect = rg.Rect.Union(bb.Buffer(reach))
+	} else {
+		rg.Rect = bb.Buffer(d).Union(bb.Buffer(reach))
 	}
 	return rg
 }
 
-// knnRadius is the invalidation radius of a k-nearest answer: the k-th
-// distance, or +Inf while fewer than k neighbors are reachable (then any
-// insertion or unblocking anywhere could extend the answer). The engine
-// clamps k < 1 to 1.
-func knnRadius(nbrs []Neighbor, k int) float64 {
-	if k < 1 {
-		k = 1
-	}
-	if len(nbrs) < k {
-		return math.Inf(1)
-	}
-	return nbrs[len(nbrs)-1].Dist
-}
+// region is answerRegion of an executed answer.
+func (a *Answer) region() anscache.Region { return answerRegion(a.req, a.value, a.metrics.Reach) }
 
 // ---------------------------------------------------------------------------
 // Size accounting

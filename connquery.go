@@ -152,8 +152,9 @@ type version struct {
 //     with the writer. The page-fault counters are shared per handle, so
 //     concurrent queries contaminate each other's per-query fault metrics
 //     (answers and the NPE/NOE/SVG metrics are unaffected) — use one Clone
-//     per goroutine, or CONNBatchRequest's per-worker views, for clean
-//     fault accounting.
+//     per goroutine, or a multi-item request on two or more workers (each
+//     worker's engine view counts its own faults), for clean fault
+//     accounting.
 //   - Clone pins the version current at call time: later mutations of the
 //     parent are invisible to the clone, and the clone may itself be
 //     mutated, forking an independent history. DB.Snapshot pins a version

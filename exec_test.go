@@ -3,6 +3,7 @@ package connquery
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -42,7 +43,9 @@ func TestExecValidation(t *testing.T) {
 		COkNNRequest{Seg: Seg(Pt(0, 0), Pt(1, 0)), K: 0},
 		ONNRequest{P: Pt(0, 0), K: 0},
 		RangeRequest{Center: Pt(0, 0), Radius: -1},
+		RangeRequest{Center: Pt(0, 0), Radius: math.NaN()},
 		EDistanceJoinRequest{Queries: []Point{Pt(0, 0)}, E: -1},
+		EDistanceJoinRequest{Queries: []Point{Pt(0, 0)}, E: math.NaN()},
 		TrajectoryRequest{Waypoints: []Point{Pt(0, 0)}},
 		CONNBatchRequest{Segs: []Segment{Seg(Pt(0, 0), Pt(1, 0)), Seg(Pt(2, 2), Pt(2, 2))}},
 	}

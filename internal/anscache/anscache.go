@@ -197,31 +197,20 @@ func (c *Cache) Put(key string, epoch uint64, value any, region Region, size int
 	}
 }
 
-// Invalidate applies one committed mutation to the cache: entries valid at
-// the pre-mutation epoch `from` either survive (their region is insensitive
-// to the mutation, or does not intersect its change box) and are promoted
-// to the post-mutation epoch `to`, or are dropped. Entries whose range ends
-// before `from` were cached for a pinned old version after the chain had
-// already moved on; they are swept, since no change box was observed for
-// the epochs between. The caller must invoke Invalidate for every committed
-// mutation, in commit order, before publishing the new version.
-func (c *Cache) Invalidate(from, to uint64, change geom.Rect, points bool) {
-	if points {
-		c.InvalidateBatch(from, to, change, geom.Rect{}, true, false)
-	} else {
-		c.InvalidateBatch(from, to, geom.Rect{}, change, false, true)
-	}
-}
-
 // InvalidateBatch applies one committed batch of mutations in a single
 // sweep: ptBox is the union change box of the batch's point mutations
 // (meaningful only when points is set), obsBox the union box of its obstacle
 // mutations (meaningful only when obstacles is set). An entry survives only
 // if it survives both union boxes; the union is conservative — strictly more
 // entries drop than under per-mutation invalidation — so promoted entries
-// stay bit-identical to re-execution. Epoch semantics match Invalidate:
-// entries valid at `from` are promoted to `to` or dropped, everything else
-// is swept.
+// stay bit-identical to re-execution. Entries valid at the pre-batch epoch
+// `from` either survive (their region is insensitive to the batch, or misses
+// its change boxes) and are promoted to the post-batch epoch `to`, or are
+// dropped. Entries whose range ends before `from` were cached for a pinned
+// old version after the chain had already moved on; they are swept, since no
+// change box was observed for the epochs between. The caller must invoke
+// InvalidateBatch for every committed batch, in commit order, before
+// publishing the new version.
 func (c *Cache) InvalidateBatch(from, to uint64, ptBox, obsBox geom.Rect, points, obstacles bool) {
 	if c == nil {
 		return

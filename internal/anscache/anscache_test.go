@@ -20,7 +20,7 @@ func TestDisabledCache(t *testing.T) {
 	if _, ok := c.Get("k", 1); ok {
 		t.Fatal("nil cache must miss")
 	}
-	c.Invalidate(1, 2, geom.R(0, 0, 1, 1), true)
+	c.InvalidateBatch(1, 2, geom.R(0, 0, 1, 1), geom.Rect{}, true, false)
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
@@ -59,7 +59,7 @@ func TestPromotionAndInvalidation(t *testing.T) {
 	c.Put("far", 1, "far", region(geom.R(100, 100, 110, 110)), 8)
 
 	// A mutation touching only "near"'s region: "far" is promoted.
-	c.Invalidate(1, 2, geom.R(5, 5, 6, 6), true)
+	c.InvalidateBatch(1, 2, geom.R(5, 5, 6, 6), geom.Rect{}, true, false)
 	if _, ok := c.Get("near", 2); ok {
 		t.Fatal("intersecting entry must be invalidated")
 	}
@@ -86,7 +86,7 @@ func TestSensitivity(t *testing.T) {
 	c.Put("obs", 1, "obs", Region{Rect: r, Obstacles: true}, 8)
 
 	// An obstacle mutation inside both rects: only "obs" is sensitive.
-	c.Invalidate(1, 2, geom.R(1, 1, 2, 2), false)
+	c.InvalidateBatch(1, 2, geom.Rect{}, geom.R(1, 1, 2, 2), false, true)
 	if _, ok := c.Get("pts", 2); !ok {
 		t.Fatal("point-only entry must survive an obstacle mutation")
 	}
@@ -94,7 +94,7 @@ func TestSensitivity(t *testing.T) {
 		t.Fatal("obstacle-sensitive entry must be invalidated")
 	}
 	// A point mutation now kills the survivor.
-	c.Invalidate(2, 3, geom.R(1, 1, 2, 2), true)
+	c.InvalidateBatch(2, 3, geom.R(1, 1, 2, 2), geom.Rect{}, true, false)
 	if _, ok := c.Get("pts", 3); ok {
 		t.Fatal("point-sensitive entry must be invalidated by a point mutation")
 	}
@@ -104,7 +104,7 @@ func TestEverywhereAndNothing(t *testing.T) {
 	c := New(1 << 20)
 	c.Put("all", 1, "all", Everywhere(), 8)
 	c.Put("none", 1, "none", Nothing(), 8)
-	c.Invalidate(1, 2, geom.R(1e12, 1e12, 1e12+1, 1e12+1), false)
+	c.InvalidateBatch(1, 2, geom.Rect{}, geom.R(1e12, 1e12, 1e12+1, 1e12+1), false, true)
 	if _, ok := c.Get("all", 2); ok {
 		t.Fatal("Everywhere region must be invalidated by any mutation")
 	}
@@ -125,7 +125,7 @@ func TestStaleSweep(t *testing.T) {
 	// The chain has already advanced 2 -> 3; the entry's range ends at 1, so
 	// no change box was observed for epoch 1 -> 2 and it must be swept even
 	// though its region is empty.
-	c.Invalidate(2, 3, geom.R(0, 0, 1, 1), true)
+	c.InvalidateBatch(2, 3, geom.R(0, 0, 1, 1), geom.Rect{}, true, false)
 	if _, ok := c.Get("stale", 1); ok {
 		t.Fatal("stale entry must be swept, not promoted")
 	}
@@ -137,7 +137,7 @@ func TestStaleSweep(t *testing.T) {
 func TestPutReplaceRules(t *testing.T) {
 	c := New(1 << 20)
 	c.Put("k", 1, "old", Nothing(), 8)
-	c.Invalidate(1, 2, geom.R(0, 0, 1, 1), true) // old promoted to [1,2]
+	c.InvalidateBatch(1, 2, geom.R(0, 0, 1, 1), geom.Rect{}, true, false) // old promoted to [1,2]
 	// A query pinned to epoch 1 misses nothing here, but a put from a pinned
 	// epoch must not clobber the wider entry.
 	c.Put("k", 1, "pinned", Nothing(), 8)
@@ -231,7 +231,8 @@ func TestConcurrentUse(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for e := uint64(1); e < 100; e++ {
-			c.Invalidate(e, e+1, geom.R(5, 5, 6, 6), e%2 == 0)
+			pts := e%2 == 0
+			c.InvalidateBatch(e, e+1, geom.R(5, 5, 6, 6), geom.R(5, 5, 6, 6), pts, !pts)
 		}
 	}()
 	wg.Wait()

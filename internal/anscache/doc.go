@@ -11,10 +11,11 @@
 // can neither shorten nor lengthen any path that the answer depends on:
 // the answer is bit-identical across that mutation.
 //
-// The MVCC writer calls Invalidate with each mutation's change box before
-// publishing the new version. Entries valid at the pre-mutation epoch whose
-// region intersects the change (and is sensitive to the mutation kind) are
-// dropped; every other such entry is promoted — its validity range is
+// The MVCC writer calls InvalidateBatch once per committed tick, with the
+// union change boxes of the tick's point and obstacle mutations, before
+// publishing the new version. Entries valid at the pre-tick epoch whose
+// region intersects a change box (of a mutation kind it is sensitive to)
+// are dropped; every other such entry is promoted — its validity range is
 // extended to the new epoch — so hot requests keep hitting across unrelated
 // writes, and a Watch subscription whose entry survives delivers the
 // promoted answer without re-executing the engine. Answers whose region is
@@ -30,7 +31,7 @@
 //
 // The package is deliberately value-agnostic: it stores opaque payloads and
 // leaves fingerprinting and region computation to the caller. Invalidation
-// sweeps every entry (O(cache size) per mutation, a few ns per entry); a
+// sweeps every entry (O(cache size) per tick, a few ns per entry); a
 // spatial index over entry regions is the upgrade path if caches grow to
 // the point where the sweep shows up next to the mutation's own tree work.
 package anscache

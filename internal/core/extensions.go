@@ -10,43 +10,14 @@ import (
 	"connquery/internal/visgraph"
 )
 
-// TrajectoryResult is the answer of a trajectory CONN query: one CONN
-// result per polyline leg, in order.
+// TrajectoryResult is the answer of a trajectory CONN query — the paper's
+// first future-work extension (§6): the obstructed NN of every point on a
+// trajectory of consecutive segments, one single-segment CONN result per
+// non-degenerate leg, in order. The root package's TrajectoryRequest
+// builds it.
 type TrajectoryResult struct {
 	Waypoints []geom.Point
 	Legs      []*Result
-}
-
-// TrajectoryCONN answers the paper's first future-work extension (§6):
-// retrieve the obstructed NN of every point on a moving trajectory
-// consisting of several consecutive line segments. Each leg runs the
-// single-segment CONN algorithm; metrics are accumulated across legs.
-//
-// Degenerate legs (repeated waypoints) are skipped.
-func (e *Engine) TrajectoryCONN(waypoints []geom.Point) (*TrajectoryResult, stats.QueryMetrics) {
-	res := &TrajectoryResult{Waypoints: append([]geom.Point(nil), waypoints...)}
-	var agg stats.QueryMetrics
-	start := time.Now()
-	for i := 1; i < len(waypoints); i++ {
-		leg := geom.Seg(waypoints[i-1], waypoints[i])
-		if leg.Degenerate() {
-			continue
-		}
-		r, m := e.CONN(leg)
-		res.Legs = append(res.Legs, r)
-		agg.FaultsData += m.FaultsData
-		agg.FaultsObst += m.FaultsObst
-		agg.NPE += m.NPE
-		agg.NOE += m.NOE
-		if m.SVG > agg.SVG {
-			agg.SVG = m.SVG
-		}
-		if m.Reach > agg.Reach {
-			agg.Reach = m.Reach
-		}
-	}
-	agg.CPU = time.Since(start)
-	return res, agg
 }
 
 // OwnerAt returns the tuple covering fractional position t of the whole

@@ -9,69 +9,6 @@ import (
 	"connquery/internal/visgraph"
 )
 
-func TestTrajectoryCONNMatchesPerLegCONN(t *testing.T) {
-	r := rand.New(rand.NewSource(601))
-	sc := randScene(r, 15, 5, 100)
-	e := sc.engine(Options{}, false)
-
-	// A three-leg trajectory built from clear segments.
-	w1 := sc.q.A
-	w2 := sc.q.B
-	w3 := geom.Pt(w2.X, w2.Y+0.01) // tiny second leg; third leg back towards w1
-	waypoints := []geom.Point{w1, w2, w3}
-	tr, m := e.TrajectoryCONN(waypoints)
-	if len(tr.Legs) != 2 {
-		t.Fatalf("legs = %d, want 2", len(tr.Legs))
-	}
-	direct, _ := e.CONN(geom.Seg(w1, w2))
-	if len(tr.Legs[0].Tuples) != len(direct.Tuples) {
-		t.Fatalf("leg 0 tuples %d vs direct %d", len(tr.Legs[0].Tuples), len(direct.Tuples))
-	}
-	for i := range direct.Tuples {
-		if tr.Legs[0].Tuples[i].PID != direct.Tuples[i].PID {
-			t.Fatalf("leg 0 tuple %d owner %d vs %d", i, tr.Legs[0].Tuples[i].PID, direct.Tuples[i].PID)
-		}
-	}
-	if m.NPE == 0 {
-		t.Fatal("metrics not accumulated")
-	}
-}
-
-func TestTrajectoryDegenerateLegsSkipped(t *testing.T) {
-	sc := scene{points: []geom.Point{geom.Pt(5, 5)}, q: geom.Seg(geom.Pt(0, 0), geom.Pt(10, 0))}
-	e := sc.engine(Options{}, false)
-	tr, _ := e.TrajectoryCONN([]geom.Point{
-		geom.Pt(0, 0), geom.Pt(0, 0), geom.Pt(10, 0),
-	})
-	if len(tr.Legs) != 1 {
-		t.Fatalf("legs = %d, want 1 (degenerate skipped)", len(tr.Legs))
-	}
-	if tu, ok := tr.OwnerAt(0.5); !ok || tu.PID != 0 {
-		t.Fatalf("OwnerAt(0.5) = %+v %v", tu, ok)
-	}
-}
-
-func TestTrajectoryOwnerAtSpansLegs(t *testing.T) {
-	// Two equal-length legs with different nearest points.
-	sc := scene{
-		points: []geom.Point{geom.Pt(2, 2), geom.Pt(18, 2)},
-		q:      geom.Seg(geom.Pt(0, 0), geom.Pt(10, 0)),
-	}
-	e := sc.engine(Options{}, false)
-	tr, _ := e.TrajectoryCONN([]geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(20, 0)})
-	if len(tr.Legs) != 2 {
-		t.Fatalf("legs = %d", len(tr.Legs))
-	}
-	first, _ := tr.OwnerAt(0.1)
-	last, _ := tr.OwnerAt(0.9)
-	if first.PID != 0 || last.PID != 1 {
-		t.Fatalf("owners across legs: %d, %d", first.PID, last.PID)
-	}
-	if _, ok := (&TrajectoryResult{}).OwnerAt(0.5); ok {
-		t.Fatal("empty trajectory produced an owner")
-	}
-}
-
 func TestObstructedRangeMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(607))
 	for trial := 0; trial < 25; trial++ {

@@ -14,7 +14,11 @@ import (
 // of Zhang, Papadias, Mouratidis & Zhu (EDBT 2004) — the foundational work
 // the paper's §2.3 builds on. They share the incremental machinery: the
 // Euclidean distance lower-bounds the obstructed distance, so best-first
-// scans over the R-tree prune exactly as in the CONN search.
+// scans over the R-tree prune exactly as in the CONN search. The
+// e-distance join and the distance semi-join are plain folds of
+// ObstructedRange and ONN (k = 1) over the query points, so the root
+// package runs them on its item runner; ClosestPair stays here because its
+// early termination makes it one algorithm rather than a fold.
 
 // JoinPair is one result of an obstructed e-distance join or semi-join:
 // data point PID is within Dist (obstructed) of query point QIdx.
@@ -23,32 +27,6 @@ type JoinPair struct {
 	PID  int32 // data point ID
 	P    geom.Point
 	Dist float64 // obstructed distance
-}
-
-// EDistanceJoin returns every (query point, data point) pair whose
-// obstructed distance is at most e, sorted by (QIdx, Dist). Each query
-// point runs an obstructed range query; the local visibility graphs are
-// per-query-point (their search ranges rarely overlap enough to share).
-func (eng *Engine) EDistanceJoin(queries []geom.Point, e float64) ([]JoinPair, stats.QueryMetrics) {
-	start := time.Now()
-	var agg stats.QueryMetrics
-	var out []JoinPair
-	for qi, qp := range queries {
-		nbrs, m := eng.ObstructedRange(qp, e)
-		agg.NPE += m.NPE
-		agg.NOE += m.NOE
-		if m.SVG > agg.SVG {
-			agg.SVG = m.SVG
-		}
-		if m.Reach > agg.Reach {
-			agg.Reach = m.Reach
-		}
-		for _, n := range nbrs {
-			out = append(out, JoinPair{QIdx: qi, PID: n.PID, P: n.P, Dist: n.Dist})
-		}
-	}
-	agg.CPU = time.Since(start)
-	return out, agg
 }
 
 // ClosestPair returns the (query point, data point) pair with the smallest
@@ -97,34 +75,6 @@ func (eng *Engine) ClosestPair(queries []geom.Point) (JoinPair, stats.QueryMetri
 	}
 	agg.CPU = time.Since(start)
 	return best, agg
-}
-
-// DistanceSemiJoin returns, for each query point, its obstructed nearest
-// data point, sorted ascending by distance (Zhang et al.'s distance
-// semi-join with k = 1 per query object).
-func (eng *Engine) DistanceSemiJoin(queries []geom.Point) ([]JoinPair, stats.QueryMetrics) {
-	start := time.Now()
-	var agg stats.QueryMetrics
-	out := make([]JoinPair, 0, len(queries))
-	for qi, qp := range queries {
-		nbrs, m := eng.ONN(qp, 1)
-		agg.NPE += m.NPE
-		agg.NOE += m.NOE
-		if m.SVG > agg.SVG {
-			agg.SVG = m.SVG
-		}
-		if m.Reach > agg.Reach {
-			agg.Reach = m.Reach
-		}
-		if len(nbrs) > 0 {
-			out = append(out, JoinPair{QIdx: qi, PID: nbrs[0].PID, P: nbrs[0].P, Dist: nbrs[0].Dist})
-		} else {
-			out = append(out, JoinPair{QIdx: qi, PID: NoOwner, Dist: math.Inf(1)})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
-	agg.CPU = time.Since(start)
-	return out, agg
 }
 
 // euclideanNNDist returns the Euclidean distance from p to the nearest data

@@ -27,34 +27,6 @@ func randQueryPoints(r *rand.Rand, sc scene, n int) []geom.Point {
 	return out
 }
 
-func TestEDistanceJoinMatchesBrute(t *testing.T) {
-	r := rand.New(rand.NewSource(701))
-	for trial := 0; trial < 12; trial++ {
-		sc := randScene(r, 5+r.Intn(12), 1+r.Intn(5), 100)
-		e := sc.engine(Options{}, false)
-		queries := randQueryPoints(r, sc, 4)
-		radius := 15 + r.Float64()*25
-
-		pairs, _ := e.EDistanceJoin(queries, radius)
-		got := map[[2]int32]float64{}
-		for _, pr := range pairs {
-			got[[2]int32{int32(pr.QIdx), pr.PID}] = pr.Dist
-		}
-		for qi, qp := range queries {
-			for pid, p := range sc.points {
-				want := visgraph.BruteObstructedDist(p, qp, sc.obstacles)
-				if math.Abs(want-radius) < 1e-6*(1+radius) {
-					continue // borderline
-				}
-				_, in := got[[2]int32{int32(qi), int32(pid)}]
-				if (want <= radius) != in {
-					t.Fatalf("trial %d (q%d, p%d): dist=%v radius=%v in=%v", trial, qi, pid, want, radius, in)
-				}
-			}
-		}
-	}
-}
-
 func TestClosestPairMatchesBrute(t *testing.T) {
 	r := rand.New(rand.NewSource(703))
 	for trial := 0; trial < 15; trial++ {
@@ -78,32 +50,6 @@ func TestClosestPairMatchesBrute(t *testing.T) {
 		direct := visgraph.BruteObstructedDist(best.P, queries[best.QIdx], sc.obstacles)
 		if math.Abs(direct-best.Dist) > 1e-6*(1+direct) {
 			t.Fatalf("trial %d: reported pair distance %v, recomputed %v", trial, best.Dist, direct)
-		}
-	}
-}
-
-func TestDistanceSemiJoinMatchesONN(t *testing.T) {
-	r := rand.New(rand.NewSource(707))
-	sc := randScene(r, 15, 5, 100)
-	e := sc.engine(Options{}, false)
-	queries := randQueryPoints(r, sc, 6)
-
-	pairs, _ := e.DistanceSemiJoin(queries)
-	if len(pairs) != len(queries) {
-		t.Fatalf("pairs = %d, want %d", len(pairs), len(queries))
-	}
-	seen := map[int]bool{}
-	for i, pr := range pairs {
-		if i > 0 && pr.Dist < pairs[i-1].Dist-1e-12 {
-			t.Fatalf("not sorted: %+v", pairs)
-		}
-		if seen[pr.QIdx] {
-			t.Fatalf("duplicate query index %d", pr.QIdx)
-		}
-		seen[pr.QIdx] = true
-		nbrs, _ := e.ONN(queries[pr.QIdx], 1)
-		if len(nbrs) == 0 || math.Abs(nbrs[0].Dist-pr.Dist) > 1e-9 {
-			t.Fatalf("semi-join pair %d disagrees with ONN: %v vs %v", pr.QIdx, pr.Dist, nbrs)
 		}
 	}
 }

@@ -221,8 +221,7 @@ func (db *DB) stampHorizon(a *Answer) {
 	if db.motion.empty() {
 		return
 	}
-	rg := widenRegion(impactRegion(a.req, a.value), a.req, a.metrics.Reach)
-	a.validUntil = db.motion.horizon(rg, a.epoch)
+	a.validUntil = db.motion.horizon(a.region(), a.epoch)
 }
 
 // horizonHolds reports whether prev's validity horizon still covers the

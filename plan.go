@@ -103,7 +103,7 @@ func (db *DB) admitPlanner(req Request, v *version) *planner.Ticket {
 	if !(side > 0) {
 		return nil
 	}
-	return p.Admit(v.epoch, requestBaseBox(req), side/plannerGridDiv, side/plannerMaxDiv)
+	return p.Admit(v.epoch, req.baseBox(), side/plannerGridDiv, side/plannerMaxDiv)
 }
 
 // plannerBuild returns the builder closure handed to the admission group:

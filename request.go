@@ -13,6 +13,7 @@ import (
 
 	"connquery/internal/core"
 	"connquery/internal/flatgeom"
+	"connquery/internal/geom"
 )
 
 // This file is the request-based query surface: every query the database
@@ -49,6 +50,12 @@ var (
 // Watch and different DB handles. Single-item requests are plain comparable
 // structs; the multi-item ones (CONNBatchRequest, TrajectoryRequest, the
 // join requests) carry slices and must not be compared with ==.
+//
+// Everything a kind means is defined beside its type in this file: how it
+// validates and runs, and the geometry the answer cache, the planner, the
+// sharded router and the watch wake filter derive their regions from
+// (answerRegion in cache.go). Adding a kind is a type here plus its wire
+// mapping in server/wire.go.
 type Request interface {
 	// Kind names the query family ("CONN", "COkNN", ...), for logs and
 	// error messages.
@@ -59,6 +66,20 @@ type Request interface {
 	// run executes the request on the prepared execution context. It may
 	// panic with core.Aborted when cancellation fires; Exec recovers that.
 	run(x *execution) (any, Metrics, error)
+
+	// baseBox bounds the request's own query geometry (segments, centers,
+	// waypoints); it is empty for a request without query items.
+	baseBox() geom.Rect
+	// radius is the answer radius of payload value: every object whose
+	// mutation can change the answer lies within it of the base box (+Inf:
+	// anywhere). Before execution value is nil, and only a radius the
+	// request declares itself is known; the others report 0 then.
+	radius(value any) float64
+	// sensitive reports which mutation kinds can change the answer.
+	sensitive() (points, obstacles bool)
+	// fingerprint appends the kind tag and the canonical parameters to the
+	// cache key.
+	fingerprint(w *fpWriter)
 }
 
 // TypedRequest is a Request whose answer payload has static type A. Every
@@ -144,14 +165,16 @@ func WithNoCache() QueryOption {
 // WithWorkers runs a multi-item request (CONNBatchRequest,
 // EDistanceJoinRequest, DistanceSemiJoinRequest, TrajectoryRequest) on a
 // bounded pool of n workers, each with its own engine view — shared
-// immutable indexes, private page counters and private warm query state.
-// For single-item requests it instead engages intra-query parallelism: the
-// candidate sight-line batches of obstacle insertion and CPLC's
-// per-candidate visible-region computation fan across a pool of n lanes
-// inside the one execution, with the answer — payload and NPE/NOE/|SVG|
-// metrics — bit-identical to the sequential path. n <= 0
-// selects GOMAXPROCS, so on a single-CPU machine the option resolves to the
-// sequential path; absent the option, execution is always sequential.
+// immutable indexes, private page counters and private warm query state;
+// with n = 1 its items run inline, one after another. For single-item
+// requests it instead engages intra-query parallelism: the candidate
+// sight-line batches of obstacle insertion and CPLC's per-candidate
+// visible-region computation fan across a pool of n lanes inside the one
+// execution, with the answer — payload and NPE/NOE/|SVG| metrics —
+// bit-identical to the sequential path. n <= 0 selects GOMAXPROCS, so on a
+// single-CPU machine the option resolves to the sequential path. Absent the
+// option, CONNBatchRequest runs on GOMAXPROCS workers and every other
+// request runs sequentially.
 func WithWorkers(n int) QueryOption {
 	return func(o *execOptions) { o.workers = n; o.hasWork = true }
 }
@@ -231,11 +254,11 @@ func (a *Answer) Results() []*Result { r, _ := a.value.([]*Result); return r }
 // Distance returns the DistanceRequest payload (+Inf when unreachable).
 func (a *Answer) Distance() float64 { r, _ := a.value.(float64); return r }
 
-// ItemMetrics returns per-item metrics for multi-item requests executed on
-// the pooled path: one entry per batch segment (CONNBatchRequest, any
-// worker count), per non-degenerate leg (TrajectoryRequest) or per query
-// point (the join requests) when WithWorkers engaged the pool. Nil for
-// single-item requests and for multi-item requests run sequentially.
+// ItemMetrics returns per-item metrics for multi-item requests: one entry
+// per batch segment (CONNBatchRequest, any worker count), per
+// non-degenerate leg (TrajectoryRequest) or per query point (the join
+// requests) when WithWorkers engaged the pool. Nil for single-item requests
+// and for the other multi-item requests run on one worker.
 func (a *Answer) ItemMetrics() []Metrics { return a.items }
 
 // ---------------------------------------------------------------------------
@@ -375,11 +398,11 @@ func (db *DB) execAt(ctx context.Context, req Request, v *version, xo *execOptio
 	if err != nil {
 		return nil, err
 	}
+	ans := &Answer{req: req, epoch: v.epoch, value: value, metrics: m, items: x.items}
 	if useCache {
 		db.cache.Put(fp, v.epoch, &cachedAnswer{value: value, metrics: m, items: x.items},
-			widenRegion(impactRegion(req, value), req, m.Reach), answerFootprint(value, x.items))
+			ans.region(), answerFootprint(value, x.items))
 	}
-	ans := &Answer{req: req, epoch: v.epoch, value: value, metrics: m, items: x.items}
 	db.stampHorizon(ans)
 	return ans, nil
 }
@@ -412,18 +435,42 @@ func (x *execution) workerEngine() *core.Engine {
 	return eng
 }
 
-// workers resolves WithWorkers for a multi-item request. seqDefault is the
-// worker count used when the option is absent (1 = sequential legacy
-// behavior; 0 = GOMAXPROCS).
-func (x *execution) workers(seqDefault int) int {
-	n := seqDefault
+// fold is the item runner of every multi-item kind (trajectory legs, batch
+// segments, join query points): it runs one primitive per item — inline on
+// x.eng with one worker, on x.pool otherwise — and returns the per-item
+// payloads in input order with their aggregate metrics, CPU stamped over
+// the whole run. Without WithWorkers a batch runs on GOMAXPROCS workers and
+// the other kinds on one. The per-item metrics become Answer.ItemMetrics
+// for a batch always, for the other kinds when the pool ran. faults sums
+// page faults into the aggregate: CONN items do, the join family does not.
+func fold[T any](x *execution, n int, batch, faults bool, item func(eng *core.Engine, i int) (T, Metrics)) ([]T, Metrics, error) {
+	workers := 1
+	if batch {
+		workers = 0
+	}
 	if x.xo.hasWork {
-		n = x.xo.workers
+		workers = x.xo.workers
 	}
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return n
+	start := time.Now()
+	out := make([]T, n)
+	items := make([]Metrics, n)
+	run := func(eng *core.Engine, i int) { out[i], items[i] = item(eng, i) }
+	if workers <= 1 {
+		for i := range n {
+			run(x.eng, i)
+		}
+	} else if err := x.pool(n, workers, run); err != nil {
+		return nil, Metrics{}, err
+	}
+	if batch || workers > 1 {
+		x.items = items
+	}
+	agg := aggregateItems(items, faults)
+	agg.CPU = time.Since(start)
+	return out, agg, nil
 }
 
 // pool runs n independent items on a bounded pool of worker engine views,
@@ -492,6 +539,15 @@ func validateK(kind string, k int) error {
 	return nil
 }
 
+// validateDist rejects a negative or NaN distance parameter: a NaN radius
+// would never stop the best-first scan that it bounds.
+func validateDist(name string, d float64) error {
+	if !(d >= 0) {
+		return fmt.Errorf("connquery: %s must be >= 0, got %v", name, d)
+	}
+	return nil
+}
+
 // CONNRequest is a continuous obstructed nearest neighbor query over the
 // segment Seg (the paper's Algorithm 4). Answer payload: *Result.
 type CONNRequest struct{ Seg Segment }
@@ -503,6 +559,13 @@ func (r CONNRequest) validate() error { return validateSegment(r.Seg) }
 func (r CONNRequest) run(x *execution) (any, Metrics, error) {
 	res, m := x.eng.CONN(r.Seg)
 	return res, m, nil
+}
+func (r CONNRequest) baseBox() geom.Rect          { return segBox(r.Seg) }
+func (CONNRequest) radius(v any) float64          { return resultRadius(v) }
+func (CONNRequest) sensitive() (points, obs bool) { return true, true }
+func (r CONNRequest) fingerprint(w *fpWriter) {
+	w.byte(fpCONN)
+	w.seg(r.Seg)
 }
 
 // COkNNRequest is a continuous obstructed k-nearest-neighbor query (§4.5).
@@ -525,6 +588,19 @@ func (r COkNNRequest) run(x *execution) (any, Metrics, error) {
 	res, m := x.eng.COkNN(r.Seg, r.K)
 	return res, m, nil
 }
+func (r COkNNRequest) baseBox() geom.Rect { return segBox(r.Seg) }
+func (COkNNRequest) radius(v any) float64 {
+	if res, _ := v.(*KResult); res != nil {
+		return res.MaxDist
+	}
+	return 0
+}
+func (COkNNRequest) sensitive() (points, obs bool) { return true, true }
+func (r COkNNRequest) fingerprint(w *fpWriter) {
+	w.byte(fpCOkNN)
+	w.seg(r.Seg)
+	w.int(r.K)
+}
 
 // ONNRequest is a snapshot obstructed k-nearest-neighbor query at point P.
 // Answer payload: []Neighbor.
@@ -541,6 +617,14 @@ func (r ONNRequest) run(x *execution) (any, Metrics, error) {
 	nbrs, m := x.eng.ONN(r.P, r.K)
 	return nbrs, m, nil
 }
+func (r ONNRequest) baseBox() geom.Rect          { return geom.RectFromPoints(r.P) }
+func (r ONNRequest) radius(v any) float64        { return knnRadius(v, r.K) }
+func (ONNRequest) sensitive() (points, obs bool) { return true, true }
+func (r ONNRequest) fingerprint(w *fpWriter) {
+	w.byte(fpONN)
+	w.point(r.P)
+	w.int(r.K)
+}
 
 // CNNRequest is the classical Euclidean continuous nearest neighbor query,
 // ignoring obstacles (the Figure 1 baseline). Answer payload: *Result.
@@ -554,6 +638,15 @@ func (r CNNRequest) run(x *execution) (any, Metrics, error) {
 	res, m := x.eng.CNN(r.Seg)
 	return res, m, nil
 }
+func (r CNNRequest) baseBox() geom.Rect { return segBox(r.Seg) }
+func (CNNRequest) radius(v any) float64 { return resultRadius(v) }
+
+// Euclidean: obstacles never enter the answer.
+func (CNNRequest) sensitive() (points, obs bool) { return true, false }
+func (r CNNRequest) fingerprint(w *fpWriter) {
+	w.byte(fpCNN)
+	w.seg(r.Seg)
+}
 
 // RangeRequest is an obstructed range query: every data point whose
 // obstructed distance to Center is at most Radius, sorted ascending (Zhang
@@ -566,15 +659,18 @@ type RangeRequest struct {
 // Kind implements Request.
 func (RangeRequest) Kind() string       { return "ObstructedRange" }
 func (RangeRequest) answer() []Neighbor { return nil }
-func (r RangeRequest) validate() error {
-	if r.Radius < 0 {
-		return fmt.Errorf("connquery: negative radius %v", r.Radius)
-	}
-	return nil
-}
+func (r RangeRequest) validate() error  { return validateDist("radius", r.Radius) }
 func (r RangeRequest) run(x *execution) (any, Metrics, error) {
 	nbrs, m := x.eng.ObstructedRange(r.Center, r.Radius)
 	return nbrs, m, nil
+}
+func (r RangeRequest) baseBox() geom.Rect          { return geom.RectFromPoints(r.Center) }
+func (r RangeRequest) radius(any) float64          { return r.Radius }
+func (RangeRequest) sensitive() (points, obs bool) { return true, true }
+func (r RangeRequest) fingerprint(w *fpWriter) {
+	w.byte(fpRange)
+	w.point(r.Center)
+	w.f64(r.Radius)
 }
 
 // VisibleKNNRequest is a visible k-nearest-neighbor query: the k
@@ -594,6 +690,14 @@ func (r VisibleKNNRequest) run(x *execution) (any, Metrics, error) {
 	nbrs, m := x.eng.VisibleKNN(r.P, r.K)
 	return nbrs, m, nil
 }
+func (r VisibleKNNRequest) baseBox() geom.Rect          { return geom.RectFromPoints(r.P) }
+func (r VisibleKNNRequest) radius(v any) float64        { return knnRadius(v, r.K) }
+func (VisibleKNNRequest) sensitive() (points, obs bool) { return true, true }
+func (r VisibleKNNRequest) fingerprint(w *fpWriter) {
+	w.byte(fpVisibleKNN)
+	w.point(r.P)
+	w.int(r.K)
+}
 
 // DistanceRequest computes the exact obstructed distance between two free
 // points (+Inf when no path exists). Answer payload: float64.
@@ -608,11 +712,32 @@ func (r DistanceRequest) run(x *execution) (any, Metrics, error) {
 	d, reach := x.eng.ObstructedDistance(r.A, r.B)
 	return d, Metrics{CPU: time.Since(start), Reach: reach}, nil
 }
+func (r DistanceRequest) baseBox() geom.Rect { return geom.RectFromPoints(r.A, r.B) }
+func (DistanceRequest) radius(v any) float64 {
+	d, _ := v.(float64)
+	return d
+}
+
+// Data points never enter an obstructed-distance computation.
+func (DistanceRequest) sensitive() (points, obs bool) { return false, true }
+
+// Obstructed distance is symmetric: the endpoint order is canonicalized so
+// DistanceRequest{A, B} and DistanceRequest{B, A} share an entry.
+func (r DistanceRequest) fingerprint(w *fpWriter) {
+	w.byte(fpDistance)
+	a, b := r.A, r.B
+	if pointLess(b, a) {
+		a, b = b, a
+	}
+	w.point(a)
+	w.point(b)
+}
 
 // TrajectoryRequest is a CONN query over a polyline trajectory (the paper's
-// §6 extension): the obstructed NN of every point on every leg. Degenerate
-// legs are skipped. With WithWorkers, legs run concurrently on the pooled
-// path. Answer payload: *TrajectoryResult.
+// §6 extension): the obstructed NN of every point on every leg, each leg
+// running the single-segment CONN algorithm. Degenerate legs are skipped.
+// With WithWorkers, legs run concurrently on the pooled path. Answer
+// payload: *TrajectoryResult.
 type TrajectoryRequest struct{ Waypoints []Point }
 
 // Kind implements Request.
@@ -625,38 +750,34 @@ func (r TrajectoryRequest) validate() error {
 	return nil
 }
 func (r TrajectoryRequest) run(x *execution) (any, Metrics, error) {
-	workers := x.workers(1)
-	if workers <= 1 {
-		res, m := x.eng.TrajectoryCONN(r.Waypoints)
-		if len(res.Legs) == 0 {
-			return nil, Metrics{}, errors.New("connquery: all trajectory legs are degenerate")
-		}
-		return res, m, nil
-	}
 	var legs []Segment
 	for i := 1; i < len(r.Waypoints); i++ {
-		leg := Seg(r.Waypoints[i-1], r.Waypoints[i])
-		if !leg.Degenerate() {
+		if leg := Seg(r.Waypoints[i-1], r.Waypoints[i]); !leg.Degenerate() {
 			legs = append(legs, leg)
 		}
 	}
 	if len(legs) == 0 {
 		return nil, Metrics{}, errors.New("connquery: all trajectory legs are degenerate")
 	}
-	start := time.Now()
-	results := make([]*Result, len(legs))
-	metrics := make([]Metrics, len(legs))
-	err := x.pool(len(legs), workers, func(eng *core.Engine, i int) {
-		results[i], metrics[i] = eng.CONN(legs[i])
+	results, m, err := fold(x, len(legs), false, true, func(eng *core.Engine, i int) (*Result, Metrics) {
+		return eng.CONN(legs[i])
 	})
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	res := &TrajectoryResult{Waypoints: append([]Point(nil), r.Waypoints...), Legs: results}
-	x.items = metrics // per-leg metrics, one entry per non-degenerate leg
-	agg := aggregateItems(metrics, true)
-	agg.CPU = time.Since(start)
-	return res, agg, nil
+	return &TrajectoryResult{Waypoints: append([]Point(nil), r.Waypoints...), Legs: results}, m, nil
+}
+func (r TrajectoryRequest) baseBox() geom.Rect { return geom.RectFromPoints(r.Waypoints...) }
+func (TrajectoryRequest) radius(v any) float64 {
+	if tr, _ := v.(*TrajectoryResult); tr != nil {
+		return resultsRadius(tr.Legs)
+	}
+	return 0
+}
+func (TrajectoryRequest) sensitive() (points, obs bool) { return true, true }
+func (r TrajectoryRequest) fingerprint(w *fpWriter) {
+	w.byte(fpTrajectory)
+	w.points(r.Waypoints)
 }
 
 // CONNBatchRequest answers many CONN queries as one request. Without
@@ -678,25 +799,36 @@ func (r CONNBatchRequest) validate() error {
 	return nil
 }
 func (r CONNBatchRequest) run(x *execution) (any, Metrics, error) {
-	start := time.Now()
-	results := make([]*Result, len(r.Segs))
-	items := make([]Metrics, len(r.Segs))
-	err := x.pool(len(r.Segs), x.workers(0), func(eng *core.Engine, i int) {
-		results[i], items[i] = eng.CONN(r.Segs[i])
+	results, m, err := fold(x, len(r.Segs), true, true, func(eng *core.Engine, i int) (*Result, Metrics) {
+		return eng.CONN(r.Segs[i])
 	})
-	if err != nil {
-		return nil, Metrics{}, err
+	return results, m, err
+}
+func (r CONNBatchRequest) baseBox() geom.Rect {
+	box := geom.RectFromPoints()
+	for _, s := range r.Segs {
+		box = box.Union(segBox(s))
 	}
-	x.items = items
-	agg := aggregateItems(items, true)
-	agg.CPU = time.Since(start)
-	return results, agg, nil
+	return box
+}
+func (CONNBatchRequest) radius(v any) float64 {
+	results, _ := v.([]*Result)
+	return resultsRadius(results)
+}
+func (CONNBatchRequest) sensitive() (points, obs bool) { return true, true }
+func (r CONNBatchRequest) fingerprint(w *fpWriter) {
+	w.byte(fpCONNBatch)
+	w.u64(uint64(len(r.Segs)))
+	for _, s := range r.Segs {
+		w.seg(s)
+	}
 }
 
 // EDistanceJoinRequest is the obstructed e-distance join: every
 // (query point, data point) pair with obstructed distance at most E (Zhang
-// et al., EDBT 2004). With WithWorkers the per-query-point range scans run
-// concurrently. Answer payload: []JoinPair.
+// et al., EDBT 2004), one obstructed range query per query point. With
+// WithWorkers the range queries run concurrently. Answer payload:
+// []JoinPair, sorted by (QIdx, Dist).
 type EDistanceJoinRequest struct {
 	Queries []Point
 	E       float64
@@ -705,42 +837,32 @@ type EDistanceJoinRequest struct {
 // Kind implements Request.
 func (EDistanceJoinRequest) Kind() string       { return "EDistanceJoin" }
 func (EDistanceJoinRequest) answer() []JoinPair { return nil }
-func (r EDistanceJoinRequest) validate() error {
-	if r.E < 0 {
-		return fmt.Errorf("connquery: negative join distance %v", r.E)
-	}
-	return nil
-}
+func (r EDistanceJoinRequest) validate() error  { return validateDist("join distance", r.E) }
 func (r EDistanceJoinRequest) run(x *execution) (any, Metrics, error) {
-	workers := x.workers(1)
-	if workers <= 1 {
-		pairs, m := x.eng.EDistanceJoin(r.Queries, r.E)
-		return pairs, m, nil
-	}
-	start := time.Now()
-	perQ := make([][]Neighbor, len(r.Queries))
-	metrics := make([]Metrics, len(r.Queries))
-	err := x.pool(len(r.Queries), workers, func(eng *core.Engine, i int) {
-		perQ[i], metrics[i] = eng.ObstructedRange(r.Queries[i], r.E)
+	perQ, m, err := fold(x, len(r.Queries), false, false, func(eng *core.Engine, i int) ([]Neighbor, Metrics) {
+		return eng.ObstructedRange(r.Queries[i], r.E)
 	})
-	if err != nil {
-		return nil, Metrics{}, err
-	}
 	var out []JoinPair
 	for qi, nbrs := range perQ {
 		for _, n := range nbrs {
 			out = append(out, JoinPair{QIdx: qi, PID: n.PID, P: n.P, Dist: n.Dist})
 		}
 	}
-	x.items = metrics // per-query-point metrics, in input order
-	agg := aggregateItems(metrics, false)
-	agg.CPU = time.Since(start)
-	return out, agg, nil
+	return out, m, err
+}
+func (r EDistanceJoinRequest) baseBox() geom.Rect          { return geom.RectFromPoints(r.Queries...) }
+func (r EDistanceJoinRequest) radius(any) float64          { return r.E }
+func (EDistanceJoinRequest) sensitive() (points, obs bool) { return true, true }
+func (r EDistanceJoinRequest) fingerprint(w *fpWriter) {
+	w.byte(fpEDistanceJoin)
+	w.points(r.Queries)
+	w.f64(r.E)
 }
 
 // DistanceSemiJoinRequest returns, for each query point, its obstructed
-// nearest data point, sorted ascending by distance. With WithWorkers the
-// per-query-point ONN probes run concurrently. Answer payload: []JoinPair.
+// nearest data point (an ONN probe with k = 1), sorted ascending by
+// distance. With WithWorkers the probes run concurrently. Answer payload:
+// []JoinPair.
 type DistanceSemiJoinRequest struct{ Queries []Point }
 
 // Kind implements Request.
@@ -748,36 +870,35 @@ func (DistanceSemiJoinRequest) Kind() string       { return "DistanceSemiJoin" }
 func (DistanceSemiJoinRequest) answer() []JoinPair { return nil }
 func (DistanceSemiJoinRequest) validate() error    { return nil }
 func (r DistanceSemiJoinRequest) run(x *execution) (any, Metrics, error) {
-	workers := x.workers(1)
-	if workers <= 1 {
-		pairs, m := x.eng.DistanceSemiJoin(r.Queries)
-		return pairs, m, nil
-	}
-	start := time.Now()
-	out := make([]JoinPair, len(r.Queries))
-	metrics := make([]Metrics, len(r.Queries))
-	err := x.pool(len(r.Queries), workers, func(eng *core.Engine, i int) {
+	out, m, err := fold(x, len(r.Queries), false, false, func(eng *core.Engine, i int) (JoinPair, Metrics) {
 		nbrs, m := eng.ONN(r.Queries[i], 1)
-		metrics[i] = m
-		if len(nbrs) > 0 {
-			out[i] = JoinPair{QIdx: i, PID: nbrs[0].PID, P: nbrs[0].P, Dist: nbrs[0].Dist}
-		} else {
-			out[i] = JoinPair{QIdx: i, PID: NoOwner, Dist: inf()}
+		if len(nbrs) == 0 {
+			return JoinPair{QIdx: i, PID: NoOwner, Dist: inf()}, m
 		}
+		return JoinPair{QIdx: i, PID: nbrs[0].PID, P: nbrs[0].P, Dist: nbrs[0].Dist}, m
 	})
-	if err != nil {
-		return nil, Metrics{}, err
-	}
 	sortPairsByDist(out)
-	x.items = metrics // per-query-point metrics, in input order
-	agg := aggregateItems(metrics, false)
-	agg.CPU = time.Since(start)
-	return out, agg, nil
+	return out, m, err
+}
+func (r DistanceSemiJoinRequest) baseBox() geom.Rect { return geom.RectFromPoints(r.Queries...) }
+func (DistanceSemiJoinRequest) radius(v any) float64 {
+	pairs, _ := v.([]JoinPair)
+	if len(pairs) == 0 {
+		return 0
+	}
+	return pairs[len(pairs)-1].Dist // sorted ascending: the last is the max
+}
+func (DistanceSemiJoinRequest) sensitive() (points, obs bool) { return true, true }
+func (r DistanceSemiJoinRequest) fingerprint(w *fpWriter) {
+	w.byte(fpDistanceSemiJoin)
+	w.points(r.Queries)
 }
 
 // ClosestPairRequest returns the (query point, data point) pair with the
 // smallest obstructed distance; with no query points the pair has
-// QIdx == -1 and infinite distance. Answer payload: JoinPair.
+// QIdx == -1 and infinite distance. Its scan stops early once no query
+// point can beat the best pair, so it is one engine algorithm rather than
+// a fold over items. Answer payload: JoinPair.
 type ClosestPairRequest struct{ Queries []Point }
 
 // Kind implements Request.
@@ -788,14 +909,58 @@ func (r ClosestPairRequest) run(x *execution) (any, Metrics, error) {
 	pair, m := x.eng.ClosestPair(r.Queries)
 	return pair, m, nil
 }
+func (r ClosestPairRequest) baseBox() geom.Rect { return geom.RectFromPoints(r.Queries...) }
+func (ClosestPairRequest) radius(v any) float64 {
+	pair, _ := v.(JoinPair)
+	return pair.Dist
+}
+func (ClosestPairRequest) sensitive() (points, obs bool) { return true, true }
+func (r ClosestPairRequest) fingerprint(w *fpWriter) {
+	w.byte(fpClosestPair)
+	w.points(r.Queries)
+}
+
+// segBox returns the bounding box of a segment.
+func segBox(s Segment) geom.Rect { return geom.RectFromPoints(s.A, s.B) }
+
+// resultRadius is the answer radius of a CONN or CNN payload: its MaxDist.
+func resultRadius(v any) float64 {
+	if res, _ := v.(*Result); res != nil {
+		return res.MaxDist
+	}
+	return 0
+}
+
+// resultsRadius is the answer radius of several CONN answers: the largest
+// MaxDist.
+func resultsRadius(results []*Result) float64 {
+	maxd := 0.0
+	for _, res := range results {
+		maxd = math.Max(maxd, res.MaxDist)
+	}
+	return maxd
+}
+
+// knnRadius is the answer radius of a k-nearest payload: the k-th
+// distance, or +Inf while fewer than k neighbors are reachable (then any
+// insertion or unblocking anywhere could extend the answer). The engine
+// clamps k < 1 to 1.
+func knnRadius(v any, k int) float64 {
+	nbrs, ok := v.([]Neighbor)
+	if !ok {
+		return 0
+	}
+	if len(nbrs) < max(k, 1) {
+		return math.Inf(1)
+	}
+	return nbrs[len(nbrs)-1].Dist
+}
 
 func inf() float64 { return math.Inf(1) }
 
 // aggregateItems merges per-item metrics into one multi-item answer
-// profile: summed NPE/NOE (and, when the per-item runs carry page
-// accounting, faults), peak SVG. The caller stamps CPU with the op's wall
-// clock. withFaults mirrors the sequential engine paths: CONN-per-item
-// requests report faults, the join family does not.
+// profile: summed NPE/NOE (and, with withFaults, page faults), peak SVG and
+// Reach. The caller stamps CPU with the op's wall clock.
 func aggregateItems(items []Metrics, withFaults bool) Metrics {
 	var agg Metrics
 	for _, m := range items {

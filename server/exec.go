@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http"
+	"runtime"
 
 	"connquery"
 )
@@ -70,13 +71,7 @@ func (s *Server) execOptions(env *ExecRequest) (opts []connquery.QueryOption, re
 	} else if env.AtVersion != nil {
 		opts = append(opts, connquery.AtVersion(*env.AtVersion))
 	}
-	if env.Workers != nil {
-		opts = append(opts, connquery.WithWorkers(*env.Workers))
-	}
-	if env.NoCache {
-		opts = append(opts, connquery.WithNoCache())
-	}
-	return opts, release, nil
+	return append(opts, env.callOptions()...), release, nil
 }
 
 // watchOptions is execOptions for a watch: pinning fields are rejected up
@@ -86,12 +81,19 @@ func (env *ExecRequest) watchOptions() ([]connquery.QueryOption, error) {
 	if env.Snapshot != nil || env.AtVersion != nil {
 		return nil, connquery.ErrPinnedWatch
 	}
+	return env.callOptions(), nil
+}
+
+// callOptions translates the option fields an exec and a watch share:
+// workers, capped at GOMAXPROCS so no envelope can make the server start
+// more pool goroutines than it has processors, and no_cache.
+func (env *ExecRequest) callOptions() []connquery.QueryOption {
 	var opts []connquery.QueryOption
 	if env.Workers != nil {
-		opts = append(opts, connquery.WithWorkers(*env.Workers))
+		opts = append(opts, connquery.WithWorkers(min(*env.Workers, runtime.GOMAXPROCS(0))))
 	}
 	if env.NoCache {
 		opts = append(opts, connquery.WithNoCache())
 	}
-	return opts, nil
+	return opts
 }

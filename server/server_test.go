@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -467,6 +468,26 @@ func TestExecErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestExecWorkersCapped sends a CONN envelope asking for 10⁸ intra-query
+// lanes: the server caps the width at GOMAXPROCS, so the query answers
+// normally, bit-identical to an in-process Exec at that width, instead of
+// starting 10⁸ goroutines.
+func TestExecWorkersCapped(t *testing.T) {
+	db := testDB(t)
+	_, base := newTestServer(t, db, server.Config{})
+	wide := 100_000_000
+	resp, body := postJSON(t, base+"/v1/exec", ExecEnv{Kind: "CONN", Seg: seg(0, 0, 100, 0), Workers: &wide})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var got server.ExecResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("decode: %v\n%s", err, body)
+	}
+	req := connquery.CONNRequest{Seg: connquery.Seg(connquery.Pt(0, 0), connquery.Pt(100, 0))}
+	assertBitIdentical(t, db, req, &got, connquery.WithWorkers(runtime.GOMAXPROCS(0)))
 }
 
 // TestExecTimeout checks a tight timeout_ms aborts a heavy query with 504.

@@ -170,7 +170,8 @@ type Metrics struct {
 // family needs must be set (the others are ignored). The option fields map
 // onto the library's QueryOptions: at_version/snapshot pin an MVCC version
 // (exec only — a watch follows the live chain by definition), workers pools
-// a multi-item request, no_cache bypasses the answer cache (a bypassed exec
+// a multi-item request or engages intra-query lanes (capped at the server's
+// GOMAXPROCS), no_cache bypasses the answer cache (a bypassed exec
 // always runs the engine and reports a fresh cost profile), and timeout_ms
 // bounds the execution (capped by the server's configured maximum). limit
 // applies to watches only: the stream closes after that many updates (0 =

@@ -25,19 +25,11 @@ import (
 // round-count optimization — the acceptance loop is what guarantees
 // correctness.
 func seedBox(req Request) geom.Rect {
-	bb := requestBaseBox(req)
+	bb := req.baseBox()
 	if bb.Empty() {
 		return bb
 	}
-	switch r := req.(type) {
-	case RangeRequest:
-		bb = bb.Buffer(r.Radius)
-	case EDistanceJoinRequest:
-		if r.E > 0 {
-			bb = bb.Buffer(r.E)
-		}
-	}
-	return bb
+	return bb.Buffer(req.radius(nil))
 }
 
 // Exec executes a Request against one consistent cross-shard cut and
@@ -133,7 +125,7 @@ func (s *ShardedDB) cutAt(epoch uint64) (routerCut, error) {
 // matches the data it reflects — can exceed the requested cut.rev.
 func (s *ShardedDB) execRouted(ctx context.Context, req Request, xo *execOptions, cut routerCut) (*Answer, anscache.Region, error) {
 	span := s.m.spanFor(seedBox(req))
-	base := requestBaseBox(req)
+	base := req.baseBox()
 	s.routerExecs.Add(1)
 	s.broadcastCost.Add(int64(s.m.numShards()))
 	// The inner options forward the workers and cache choices but never the
@@ -181,8 +173,7 @@ func (s *ShardedDB) execRouted(ctx context.Context, req Request, xo *execOptions
 			// The wake region for sharded watches: the same widened impact
 			// region the answer cache proves sufficient for invalidation, so
 			// a mutation outside it cannot change this answer.
-			region := widenRegion(impactRegion(req, ans.value), req, ans.metrics.Reach)
-			return translatedAnswer(ans, req, l2g, cut.rev), region, nil
+			return translatedAnswer(ans, req, l2g, cut.rev), ans.region(), nil
 		}
 		span = next
 		s.expansions.Add(1)

@@ -202,7 +202,7 @@ func (db *DB) execHead(ctx context.Context, req Request, xo *execOptions) (*Answ
 	if err != nil {
 		return nil, anscache.Region{}, err
 	}
-	return ans, widenRegion(impactRegion(req, ans.value), req, ans.metrics.Reach), nil
+	return ans, ans.region(), nil
 }
 
 // watchBackend is what the watch loop needs from the database it follows:
