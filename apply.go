@@ -649,7 +649,7 @@ func (b *batchState) commit() error {
 		db.watch.notify(b.obsBox, false)
 	}
 	if db.dur != nil {
-		db.maybeCheckpointLocked(b.nv)
+		db.maybeCheckpointLocked()
 	}
 	return nil
 }

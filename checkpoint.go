@@ -315,10 +315,6 @@ func listCheckpoints(dir string) ([]string, error) {
 // existing -data-dir and bootstrapping a fresh one.
 func HasDurableState(dir string) bool {
 	names, err := listCheckpoints(dir)
-	if err == nil && len(names) > 0 {
-		return true
-	}
-	names, err = listCheckpoints(filepath.Join(dir, routerDirName))
 	return err == nil && len(names) > 0
 }
 
@@ -367,7 +363,7 @@ func chargePages(data []byte, onPage func(int64)) {
 // machine-independent metrics are independent of tree build history. The
 // point-inside-obstacle validation of Open is skipped: this data already
 // passed it when the original mutations committed. Unlike Open, a world
-// with zero live points is allowed (an empty shard recovering its
+// with zero live points is allowed (a shard unit holding only its
 // tombstoned bootstrap dummy), though the point array itself must be
 // non-empty.
 func openAt(c *ckptData, cfg config) (*DB, error) {

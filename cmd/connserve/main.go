@@ -17,8 +17,8 @@
 // -group-commit trades the per-mutation fsync for a windowed one (add
 // -sync-ack to keep acknowledgments durable on top of the batched writes);
 // -checkpoint-every tunes how often the log is folded into a checkpoint.
-// Works with -shards: each shard keeps its own WAL plus a global sequencer
-// log, and recovery rebuilds the identical sharded twin.
+// Works with -shards: a sharded server writes the same files a single node
+// writes, so a directory reopens under any -shards count, or without it.
 //
 //	connserve -addr :8080 -workload CL -scale 0.02
 //	connserve -load city.snap -request-timeout 5s -snapshot-ttl 2m

@@ -239,15 +239,26 @@ func Open(points []Point, obstacles []Rect, opts ...Option) (*DB, error) {
 		obstacles: append([]Rect(nil), obstacles...),
 	}
 	db := newDB(v, cfg)
-	// Validate point placement using the freshly built obstacle index.
-	for i, p := range points {
+	if err := v.checkPlacement(); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// checkPlacement rejects a live point lying strictly inside a live
+// obstacle, using the version's freshly built obstacle index.
+func (v *version) checkPlacement() error {
+	for i, p := range v.points {
+		if v.deletedPts[int32(i)] {
+			continue
+		}
 		for _, o := range v.obstaclesNear(p) {
 			if o.ContainsOpen(p) {
-				return nil, fmt.Errorf("connquery: point %d (%v) lies strictly inside obstacle %v", i, p, o)
+				return fmt.Errorf("connquery: point %d (%v) lies strictly inside obstacle %v", i, p, o)
 			}
 		}
 	}
-	return db, nil
+	return nil
 }
 
 // newDB wraps v in a fresh handle: the R-trees bulk-load v's live objects

@@ -31,6 +31,10 @@ import (
 // stamped with its epoch, and truncates the log. Recovery is therefore
 // always one checkpoint load plus one sequential scan of a short log tail.
 //
+// One format serves both backends: a ShardedDB writes exactly these files
+// (durable_sharded.go), so any data directory reopens as a single node or
+// under any shard count.
+//
 // Failure model is fail-stop: a WAL or checkpoint I/O error latches on the
 // handle, the failed mutation does not publish, and every later mutation
 // refuses (inserts return the latched error, deletes report false); reads
@@ -49,9 +53,11 @@ type RecoveryStats struct {
 	PagesRead       int64  // page faults charged for recovery file reads
 }
 
-// durableState is a DB's attachment to its directory: the WAL writer, the
-// checkpoint cadence, the recovery report, and the latched failure state.
-// All fields are guarded by the owning DB's writer lock (db.mu).
+// durableState is a handle's attachment to its directory: the WAL writer,
+// the checkpoint cadence, the recovery report, and the latched failure
+// state. Both backends use it unchanged. All fields are guarded by the
+// owning handle's writer lock: db.mu on a DB, seqMu on a ShardedDB (whose
+// checkpoints also hold every shard lock, so the image is a quiesced cut).
 type durableState struct {
 	dir    string
 	w      *wal.Writer
@@ -78,6 +84,15 @@ func resolveCkptEvery(n int) int {
 	return n
 }
 
+// durableBackend is what the shared durable open needs from a backend: the
+// Database surface replay drives, a way to attach the durable state, and
+// the storage image a checkpoint stores.
+type durableBackend interface {
+	Database
+	setDurable(d *durableState)
+	image() *version
+}
+
 // OpenDurable opens (or creates) a durable database in dir.
 //
 // When dir holds durable state, the instance cold-starts from the latest
@@ -88,100 +103,113 @@ func resolveCkptEvery(n int) int {
 // Open would build it (same validation, same IDs, epoch 1) and checkpointed
 // before the call returns. All regular Options apply; WithGroupCommit and
 // WithCheckpointEvery tune the durability itself. Close the handle to
-// checkpoint and release the directory.
+// checkpoint and release the directory. A directory written by
+// OpenDurableSharded opens here too: both backends store the same files.
 func OpenDurable(dir string, opts ...Option) (*DB, error) {
+	return openDurable(dir, opts,
+		func(points []Point, obstacles []Rect) (*DB, error) { return Open(points, obstacles, opts...) },
+		openAt)
+}
+
+// openDurable is the durable open both backends share. An empty directory
+// bootstraps: boot builds the world from WithBootstrapData and its image
+// becomes the first checkpoint. Otherwise restore rebuilds the backend at
+// the newest checkpoint, the WAL tail replays through Database.Apply as
+// one tick, and the writer attaches for the next epoch.
+func openDurable[B durableBackend](dir string, opts []Option, boot func([]Point, []Rect) (B, error), restore func(*ckptData, config) (B, error)) (B, error) {
+	var none B
 	cfg := defaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("connquery: durable: %w", err)
+		return none, fmt.Errorf("connquery: durable: %w", err)
 	}
 	pc := &stats.PageCounter{}
 	ck, ckBytes, err := loadLatestCheckpoint(dir, pc.RecordAccess)
 	if err != nil {
-		return nil, fmt.Errorf("connquery: durable: %w", err)
+		return none, fmt.Errorf("connquery: durable: %w", err)
 	}
-	every := resolveCkptEvery(cfg.ckptEvery)
+	d := &durableState{dir: dir, every: resolveCkptEvery(cfg.ckptEvery)}
 
 	if ck == nil {
 		if cfg.boot == nil {
-			return nil, fmt.Errorf("connquery: durable: %s holds no durable state and no WithBootstrapData was given", dir)
+			return none, fmt.Errorf("connquery: durable: %s holds no durable state and no WithBootstrapData was given", dir)
 		}
-		db, err := Open(cfg.boot.points, cfg.boot.obstacles, opts...)
+		b, err := boot(cfg.boot.points, cfg.boot.obstacles)
 		if err != nil {
-			return nil, err
+			return none, err
 		}
-		if err := makeDurable(db, dir, cfg, every); err != nil {
-			return nil, err
+		if err := writeCheckpointFile(dir, b.image()); err != nil {
+			return none, err
 		}
-		return db, nil
+		if err := d.attach(b, cfg, nil, RecoveryStats{Epoch: b.Version()}); err != nil {
+			return none, err
+		}
+		return b, nil
 	}
 	if cfg.boot != nil {
-		return nil, fmt.Errorf("connquery: durable: WithBootstrapData given but %s already holds state at epoch %d", dir, ck.epoch)
+		return none, fmt.Errorf("connquery: durable: WithBootstrapData given but %s already holds state at epoch %d", dir, ck.epoch)
 	}
 
-	db, err := openAt(ck, cfg)
+	b, err := restore(ck, cfg)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	scan, err := wal.ScanDir(dir, rtree.DefaultPageSize, pc.RecordAccess)
 	if err != nil {
-		return nil, fmt.Errorf("connquery: durable: %w", err)
+		return none, fmt.Errorf("connquery: durable: %w", err)
 	}
-	applied, err := replayRecords(db, scan.Records)
+	applied, err := replayRecords(b, scan.Records)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	rec := RecoveryStats{
-		Epoch:           db.Version(),
+		Epoch:           b.Version(),
 		CheckpointBytes: ckBytes,
 		WALBytes:        scan.Bytes,
 		WALRecords:      len(applied),
 		TornBytes:       scan.TornBytes,
 		PagesRead:       pc.Faults(),
 	}
-	if err := attachDurable(db, dir, cfg, every, applied, rec); err != nil {
-		return nil, err
+	if err := d.attach(b, cfg, applied, rec); err != nil {
+		return none, err
 	}
-	return db, nil
+	return b, nil
 }
 
-// makeDurable attaches a freshly built in-memory DB to an empty directory:
-// initial checkpoint, clean log, live writer.
-func makeDurable(db *DB, dir string, cfg config, every int) error {
-	if err := writeCheckpointFile(dir, db.current()); err != nil {
-		return err
-	}
-	return attachDurable(db, dir, cfg, every, nil, RecoveryStats{Epoch: db.Version()})
-}
-
-// attachDurable compacts the directory's log to exactly the records the DB
+// attach compacts the directory's log to exactly the records the backend
 // replayed (dropping torn tails and anything beyond the recovered cut, so
 // future scans start clean), opens the writer for the next epoch, and arms
 // the durable state. From here on every mutation logs before it publishes.
-func attachDurable(db *DB, dir string, cfg config, every int, applied []wal.Record, rec RecoveryStats) error {
-	if err := wal.Rewrite(dir, applied); err != nil {
+func (d *durableState) attach(b durableBackend, cfg config, applied []wal.Record, rec RecoveryStats) error {
+	if err := wal.Rewrite(d.dir, applied); err != nil {
 		return fmt.Errorf("connquery: durable: %w", err)
 	}
-	w, err := wal.Create(dir, db.Version()+1, walOptions(cfg))
+	w, err := wal.Create(d.dir, b.Version()+1, walOptions(cfg))
 	if err != nil {
 		return fmt.Errorf("connquery: durable: %w", err)
 	}
-	db.dur = &durableState{dir: dir, w: w, since: len(applied), every: every, rec: rec}
+	d.w, d.since, d.rec = w, len(applied), rec
+	b.setDurable(d)
 	return nil
 }
 
-// replayRecords applies a scanned record stream to db as one DB.Apply tick
-// and cross-checks every member against what the log promised. Records at
-// or below the current epoch are duplicates a crashed log compaction can
+func (db *DB) setDurable(d *durableState) { db.dur = d }
+
+// image is the storage a checkpoint of db stores: its current version.
+func (db *DB) image() *version { return db.current() }
+
+// replayRecords applies a scanned record stream to b as one Apply tick and
+// cross-checks every member against what the log promised. Records at or
+// below the current epoch are duplicates a crashed log compaction can
 // leave behind and are skipped; an epoch gap or an application verdict that
 // disagrees with the log (failed member, wrong assigned ID, wrong final
 // epoch) is corruption and aborts the open — a durable store must never
 // guess. The tick is bounded by the checkpoint interval, which bounds the
 // log tail. Returns the records actually applied.
-func replayRecords(db *DB, recs []wal.Record) ([]wal.Record, error) {
-	cur := db.Version()
+func replayRecords(b Database, recs []wal.Record) ([]wal.Record, error) {
+	cur := b.Version()
 	applied := make([]wal.Record, 0, len(recs))
 	tick := make([]Mutation, 0, len(recs))
 	for _, r := range recs {
@@ -199,7 +227,7 @@ func replayRecords(db *DB, recs []wal.Record) ([]wal.Record, error) {
 		applied = append(applied, r)
 		tick = append(tick, m)
 	}
-	res, err := db.Apply(tick)
+	res, err := b.Apply(tick)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +239,7 @@ func replayRecords(db *DB, recs []wal.Record) ([]wal.Record, error) {
 			return nil, fmt.Errorf("connquery: wal replay: %s assigned ID %d, log recorded %d", tick[i].Op, mr.ID, applied[i].ID)
 		}
 	}
-	if got := db.Version(); got != cur {
+	if got := b.Version(); got != cur {
 		return nil, fmt.Errorf("connquery: wal replay: epoch %d after applying the log up to epoch %d", got, cur)
 	}
 	return applied, nil
@@ -232,21 +260,24 @@ func recordMutation(r wal.Record) (Mutation, error) {
 	return Mutation{}, fmt.Errorf("connquery: wal replay: unknown op %d", r.Op)
 }
 
-// writableLocked is the mutation entry gate. Caller holds db.mu.
-func (db *DB) writableLocked() error {
-	d := db.dur
-	if d == nil {
-		return nil
-	}
+// writable is the mutation entry gate: nil while the handle may log.
+func (d *durableState) writable() error {
 	if d.closed {
 		return errors.New("connquery: durable database is closed")
 	}
 	return d.err
 }
 
+// writableLocked is the DB's mutation entry gate. Caller holds db.mu.
+func (db *DB) writableLocked() error {
+	if db.dur == nil {
+		return nil
+	}
+	return db.dur.writable()
+}
+
 // syncLocked forces the log tail to disk, latching on failure — the
 // WithSyncAck half of a commit: a mutation acked to the caller is on disk.
-// Caller holds db.mu.
 func (d *durableState) syncLocked() error {
 	if d.err != nil {
 		return d.err
@@ -258,32 +289,25 @@ func (d *durableState) syncLocked() error {
 	return nil
 }
 
-// maybeCheckpointLocked runs the automatic checkpoint when the interval is
-// armed and due. Caller holds db.mu; the published version is already
-// live, so a checkpoint failure only latches the writer — readers are
-// unaffected.
-func (db *DB) maybeCheckpointLocked(v *version) {
-	d := db.dur
-	if d.every > 0 && d.since >= d.every && d.err == nil {
-		db.checkpointLocked(v) //nolint:errcheck // latched in d.err
-	}
+// due reports whether the automatic checkpoint interval has elapsed.
+func (d *durableState) due() bool {
+	return d.every > 0 && d.since >= d.every && d.err == nil && !d.closed
 }
 
-// checkpointLocked makes v durable as a checkpoint and truncates the WAL:
-// sync the log, write the image atomically, then cut the segments — in
-// that order, so every crash window leaves either the old checkpoint plus
-// a complete log, or the new checkpoint plus a log whose leftover records
-// replay idempotently. Caller holds db.mu.
-func (db *DB) checkpointLocked(v *version) error {
-	d := db.dur
-	if d.err != nil {
-		return d.err
+// checkpoint makes the handle's image durable as a checkpoint and truncates
+// the WAL: sync the log, write the image atomically, then cut the segments
+// — in that order, so every crash window leaves either the old checkpoint
+// plus a complete log, or the new checkpoint plus a log whose leftover
+// records replay idempotently. Any step's failure latches fail-stop.
+func (d *durableState) checkpoint(image func() *version) error {
+	if err := d.writable(); err != nil {
+		return err
 	}
 	if err := d.w.Sync(); err != nil {
 		d.err = fmt.Errorf("connquery: durable: %w", err)
 		return d.err
 	}
-	if err := writeCheckpointFile(d.dir, v); err != nil {
+	if err := writeCheckpointFile(d.dir, image()); err != nil {
 		d.err = err
 		return d.err
 	}
@@ -295,17 +319,30 @@ func (db *DB) checkpointLocked(v *version) error {
 	return nil
 }
 
-// syncWAL forces the handle's log tail to disk without checkpointing. The
-// sharded checkpoint protocol uses it to pin every shard's log before the
-// router image is written. No-op for in-memory handles.
-func (db *DB) syncWAL() error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	d := db.dur
-	if d == nil {
+// close checkpoints a healthy handle and releases the writer. Idempotent.
+func (d *durableState) close(image func() *version) error {
+	if d.closed {
 		return nil
 	}
-	return d.syncLocked()
+	var firstErr error
+	if d.err == nil {
+		firstErr = d.checkpoint(image)
+	}
+	d.closed = true
+	if err := d.w.Close(); firstErr == nil && err != nil {
+		firstErr = fmt.Errorf("connquery: durable: %w", err)
+	}
+	return firstErr
+}
+
+// maybeCheckpointLocked runs the automatic checkpoint when the interval is
+// armed and due. Caller holds db.mu; the published version is already
+// live, so a checkpoint failure only latches the writer — readers are
+// unaffected.
+func (db *DB) maybeCheckpointLocked() {
+	if db.dur.due() {
+		db.dur.checkpoint(db.current) //nolint:errcheck // latched in d.err
+	}
 }
 
 // Checkpoint writes a durable checkpoint of the current version and
@@ -316,10 +353,7 @@ func (db *DB) Checkpoint() error {
 	if db.dur == nil {
 		return errNotDurable
 	}
-	if db.dur.closed {
-		return errors.New("connquery: durable database is closed")
-	}
-	return db.checkpointLocked(db.current())
+	return db.dur.checkpoint(db.current)
 }
 
 // Close checkpoints the current version and releases the durable
@@ -330,19 +364,10 @@ func (db *DB) Checkpoint() error {
 func (db *DB) Close() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	d := db.dur
-	if d == nil || d.closed {
+	if db.dur == nil {
 		return nil
 	}
-	d.closed = true
-	var firstErr error
-	if d.err == nil {
-		firstErr = db.checkpointLocked(db.current())
-	}
-	if err := d.w.Close(); firstErr == nil && err != nil {
-		firstErr = fmt.Errorf("connquery: durable: %w", err)
-	}
-	return firstErr
+	return db.dur.close(db.current)
 }
 
 // RecoveryStats reports what this handle's durable open did. Zero for

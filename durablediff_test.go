@@ -408,9 +408,9 @@ func TestDurableCrashRecoverySharded(t *testing.T) {
 	re2.Close()
 }
 
-// TestDurableCrashRecoveryShardedTornSeq tears the sequencer log: the shard
-// logs run ahead of the surviving sequencer prefix, and the consistent-cut
-// walk must drop the unsequenced shard records on every shard at once.
+// TestDurableCrashRecoveryShardedTornSeq tears the router's log: recovery
+// must land on a strict prefix of the revision stream, equal to an
+// in-memory replay of exactly that many mutations.
 func TestDurableCrashRecoveryShardedTornSeq(t *testing.T) {
 	dir := t.TempDir()
 	gen, pts, obs := durableWorld(24)
@@ -433,7 +433,7 @@ func TestDurableCrashRecoveryShardedTornSeq(t *testing.T) {
 		dt.mutate(t)
 	}
 
-	chopNewestSegment(t, filepath.Join(dir, seqDirName), 100)
+	chopNewestSegment(t, dir, 100)
 	re, err := OpenDurableSharded(dir, 4, WithAnswerCache(8<<20))
 	if err != nil {
 		t.Fatal(err)
@@ -448,7 +448,7 @@ func TestDurableCrashRecoveryShardedTornSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The close rewrote every log to the recovered cut; a further reopen must
+	// The close checkpointed the recovered cut; a further reopen must
 	// land on the identical state.
 	re2, err := OpenDurableSharded(dir, 4, WithAnswerCache(8<<20))
 	if err != nil {
@@ -483,9 +483,11 @@ func TestOpenDurableErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sdb.Close()
-	if _, err := OpenDurableSharded(sdir, 2); err == nil {
-		t.Fatal("reopening a 4-shard store with 2 shards succeeded")
+	re, err := OpenDurableSharded(sdir, 2)
+	if err != nil {
+		t.Fatalf("reopening a 4-shard store with 2 shards: %v", err)
 	}
+	re.Close()
 	if _, err := OpenDurableSharded(sdir, 4, WithBootstrapData(pts, obs)); err == nil {
 		t.Fatal("OpenDurableSharded with bootstrap data on a populated directory succeeded")
 	}
@@ -637,15 +639,15 @@ func TestDurableStickyFailure(t *testing.T) {
 		t.Fatalf("read after WAL failure refused: %v", err)
 	}
 
-	// Sharded: the sequencer cannot be rolled back (shards applied first),
-	// so the failing mutation itself commits in memory, then the latch
-	// refuses everything after it.
+	// Sharded: the router's log append cannot be rolled back (shards
+	// applied first), so the failing mutation itself commits in memory, then
+	// the latch refuses everything after it.
 	sdir := t.TempDir()
 	sdb, err := OpenDurableSharded(sdir, 2, WithBootstrapData(pts, obs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sdb.dur.seq.Close()
+	sdb.dur.w.Close()
 	if _, err := sdb.InsertPoint(Pt(3, 3)); err != nil {
 		t.Fatalf("the latching mutation itself should commit in memory: %v", err)
 	}
@@ -743,61 +745,6 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := parseCheckpoint(buf.Bytes()[:buf.Len()-5]); err == nil {
 		t.Fatal("truncated checkpoint went undetected")
-	}
-}
-
-// TestRouterCkptCodecRoundTrip pins the router checkpoint format the same
-// way.
-func TestRouterCkptCodecRoundTrip(t *testing.T) {
-	rc := &routerCkpt{
-		rev:    17,
-		cols:   2,
-		rows:   2,
-		world:  R(0, 0, 100, 50),
-		dummy:  Pt(101, 51),
-		epochs: []uint64{3, 1, 9, 2},
-		l2gP:   [][]int32{{0, 2}, {-1}, {1, 3, 4}, {-1, 5}},
-		l2gO:   [][]int32{{0}, {0, 1}, {1}, {}},
-		lenP2S: 6,
-		lenO2S: 2,
-	}
-	var buf bytes.Buffer
-	if err := writeRouterCkpt(&buf, rc); err != nil {
-		t.Fatal(err)
-	}
-	got, err := parseRouterCkpt(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.rev != rc.rev || got.cols != rc.cols || got.rows != rc.rows ||
-		got.world != rc.world || got.dummy != rc.dummy ||
-		got.lenP2S != rc.lenP2S || got.lenO2S != rc.lenO2S {
-		t.Fatalf("round trip mismatch: %+v vs %+v", got, rc)
-	}
-	for i := range rc.epochs {
-		if got.epochs[i] != rc.epochs[i] {
-			t.Fatalf("shard %d epoch %d != %d", i, got.epochs[i], rc.epochs[i])
-		}
-		if len(got.l2gP[i]) != len(rc.l2gP[i]) || len(got.l2gO[i]) != len(rc.l2gO[i]) {
-			t.Fatalf("shard %d table lengths differ", i)
-		}
-		for j := range rc.l2gP[i] {
-			if got.l2gP[i][j] != rc.l2gP[i][j] {
-				t.Fatalf("shard %d l2gP[%d] %d != %d", i, j, got.l2gP[i][j], rc.l2gP[i][j])
-			}
-		}
-		for j := range rc.l2gO[i] {
-			if got.l2gO[i][j] != rc.l2gO[i][j] {
-				t.Fatalf("shard %d l2gO[%d] %d != %d", i, j, got.l2gO[i][j], rc.l2gO[i][j])
-			}
-		}
-	}
-	for off := 0; off < buf.Len(); off += 7 {
-		bad := append([]byte(nil), buf.Bytes()...)
-		bad[off] ^= 0x20
-		if _, err := parseRouterCkpt(bad); err == nil {
-			t.Fatalf("corruption at byte %d went undetected", off)
-		}
 	}
 }
 

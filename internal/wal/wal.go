@@ -47,9 +47,8 @@ const (
 
 // Record is one logged mutation. For point ops Coords[0:2] hold x, y; for
 // obstacle ops Coords hold minX, minY, maxX, maxY. ID is the object's
-// ID in the logging domain (PID/OID single-node, global ID in the sharded
-// sequencer log, shard-local ID in a shard's own log) and Epoch is the
-// epoch (or router revision) the mutation committed as.
+// PID/OID (a sharded router's global ID is the same number) and Epoch is
+// the epoch (or router revision) the mutation committed as.
 type Record struct {
 	Op     uint8
 	ID     int32

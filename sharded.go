@@ -59,8 +59,8 @@ const (
 
 // changeEntry is one committed mutation in the router log. Replaying the
 // log in order (filtered to a cell block) reconstructs any union mirror.
-// The opened world is revision 1, so entry i (0-based) produced revision
-// i+2; a cut at revision r covers exactly the first r-1 entries.
+// Entry i (0-based) produced revision R+1+i, R being the opened revision
+// (1 for a fresh world, the checkpoint's for a recovered one).
 type changeEntry struct {
 	op  uint8
 	gid int32
@@ -126,7 +126,6 @@ type shardUnit struct {
 // paths — which the differential harness in sharddiff_test.go proves.
 type ShardedDB struct {
 	m      *shardMap
-	opts   []Option
 	cfg    config
 	shards []*shardUnit
 
@@ -173,11 +172,13 @@ type ShardedDB struct {
 	watch watchSet
 
 	// dur is the durable attachment (nil for in-memory routers); its mutable
-	// fields are guarded by seqMu. initDeadPts/initDeadObs are set only by
-	// recovery: initial-range objects already deleted at the recovered router
-	// checkpoint, whose deletions live in no log — mirror builds must skip
-	// them. Immutable after open.
-	dur         *shardedDurable
+	// fields are guarded by seqMu, and ckptGate keeps concurrent mutations
+	// from piling up behind a second automatic checkpoint.
+	// initDeadPts/initDeadObs are the opened image's tombstones: objects of
+	// the initial range whose deletions live in no router log, which mirror
+	// builds must skip. Immutable after open.
+	dur         *durableState
+	ckptGate    atomic.Bool
 	initDeadPts map[int32]bool
 	initDeadObs map[int32]bool
 
@@ -219,30 +220,43 @@ func OpenSharded(points []Point, obstacles []Rect, shards int, opts ...Option) (
 		}
 	}
 
+	return partition(&ckptData{epoch: 1, points: points, obstacles: obstacles}, shards, cfg)
+}
+
+// partition builds a router over a full storage image at revision c.epoch:
+// the object arrays in ID order, dead objects included, and their
+// tombstones. OpenSharded partitions the caller's world at revision 1;
+// durable recovery partitions a checkpoint. The grid covers the image's
+// points; every point goes to its owning cell and every obstacle to each
+// cell its rectangle intersects, in global ID order with dead objects kept
+// as tombstones, so local order is global order on every shard.
+func partition(c *ckptData, shards int, cfg config) (*ShardedDB, error) {
+	points, obstacles := c.points, c.obstacles
 	world := geom.RectFromPoints(points...)
 	for _, o := range obstacles {
 		world = world.Union(o)
 	}
 	s := &ShardedDB{
-		m:        gridFor(shards, geom.RectFromPoints(points...)),
-		opts:     append([]Option(nil), opts...),
-		cfg:      cfg,
-		mirrors:  make(map[cellSpan]*unionMirror),
-		pins:     make(map[uint64]map[*ShardedSnapshot]struct{}),
-		dummy:    Pt(world.MaxX+1, world.MaxY+1),
-		nInitPts: len(points),
-		nInitObs: len(obstacles),
+		m:           gridFor(shards, geom.RectFromPoints(points...)),
+		cfg:         cfg,
+		mirrors:     make(map[cellSpan]*unionMirror),
+		pins:        make(map[uint64]map[*ShardedSnapshot]struct{}),
+		dummy:       Pt(world.MaxX+1, world.MaxY+1),
+		nInitPts:    len(points),
+		nInitObs:    len(obstacles),
+		initDeadPts: c.deadPts,
+		initDeadObs: c.deadObs,
 	}
-	s.rev.Store(1)
-	s.nPts.Store(int64(len(points)))
-	s.nObs.Store(int64(len(obstacles)))
+	s.rev.Store(c.epoch)
+	s.nPts.Store(int64(len(points) - len(c.deadPts)))
+	s.nObs.Store(int64(len(obstacles) - len(c.deadObs)))
 	s.mirCap = 2 * s.m.numShards()
 	if s.mirCap < 8 {
 		s.mirCap = 8
 	}
 
-	// Global registries: initial objects take gids 0..n-1 in input order,
-	// exactly the PIDs/OIDs Open would assign.
+	// Global registries: gids are the image's IDs, exactly the PIDs/OIDs a
+	// single node holding the same image uses.
 	n := s.m.numShards()
 	s.shards = make([]*shardUnit, n)
 	s.p2s = make([]pointLoc, len(points))
@@ -269,22 +283,29 @@ func OpenSharded(points []Point, obstacles []Rect, shards int, opts ...Option) (
 		s.o2s[gid] = loc
 	}
 
-	// Build each shard's DB over its sub-world. Shard-level Open repeats
-	// the point-inside-obstacle validation on exactly the obstacles that
-	// could contain each point (they intersect its cell), so the verdict
-	// matches the single node's; only the index named in the error is
-	// shard-local.
+	// Build each shard's DB over its sub-world. The shard repeats Open's
+	// point-inside-obstacle validation on exactly the obstacles that could
+	// contain each point (they intersect its cell), so the verdict matches
+	// the single node's; only the index named in the error is shard-local.
 	for i := 0; i < n; i++ {
 		sh := s.shards[i]
-		shPts := make([]Point, 0, len(sh.l2gP))
-		for _, gid := range sh.l2gP {
-			shPts = append(shPts, points[gid])
+		shPts := make([]Point, len(sh.l2gP))
+		deadPts := make(map[int32]bool)
+		for lid, gid := range sh.l2gP {
+			shPts[lid] = points[gid]
+			if c.deadPts[gid] {
+				deadPts[int32(lid)] = true
+			}
 		}
-		shObs := make([]Rect, 0, len(sh.l2gO))
-		for _, gid := range sh.l2gO {
-			shObs = append(shObs, obstacles[gid])
+		shObs := make([]Rect, len(sh.l2gO))
+		deadObs := make(map[int32]bool)
+		for lid, gid := range sh.l2gO {
+			shObs[lid] = obstacles[gid]
+			if c.deadObs[gid] {
+				deadObs[int32(lid)] = true
+			}
 		}
-		db, err := openSubWorld(shPts, shObs, s.dummy, s.opts)
+		db, err := openSubWorld(shPts, shObs, deadPts, deadObs, s.dummy, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -295,24 +316,25 @@ func OpenSharded(points []Point, obstacles []Rect, shards int, opts ...Option) (
 		}
 		sh.db = db
 		sh.committedEpoch = db.Version()
-		sh.committedRev = 1
+		sh.committedRev = c.epoch
 	}
 	return s, nil
 }
 
-// openSubWorld opens a DB over a (possibly empty) point subset: Open
-// rejects empty point sets, so an empty shard bootstraps with the dummy
-// point, deleted before the handle is used.
-func openSubWorld(points []Point, obstacles []Rect, dummy Point, opts []Option) (*DB, error) {
-	if len(points) > 0 {
-		return Open(points, obstacles, opts...)
+// openSubWorld opens a DB at epoch 1 over an ID-ordered object subset whose
+// tombstoned slots stay in place, validating every live point against the
+// live obstacles as Open does. A DB needs a non-empty point array, so a
+// subset without points holds the dummy in a tombstoned slot 0.
+func openSubWorld(points []Point, obstacles []Rect, deadPts, deadObs map[int32]bool, dummy Point, cfg config) (*DB, error) {
+	if len(points) == 0 {
+		points, deadPts = []Point{dummy}, map[int32]bool{0: true}
 	}
-	db, err := Open([]Point{dummy}, obstacles, opts...)
+	db, err := openAt(&ckptData{epoch: 1, points: points, obstacles: obstacles, deadPts: deadPts, deadObs: deadObs}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if !db.DeletePoint(0) {
-		return nil, errors.New("connquery: internal: bootstrap dummy vanished")
+	if err := db.current().checkPlacement(); err != nil {
+		return nil, err
 	}
 	return db, nil
 }
@@ -340,22 +362,25 @@ func (s *ShardedDB) liveCut() routerCut {
 // targets are the shards the caller applied the mutation to; their
 // committed-position markers advance with the revision, which is what lets
 // live reads pair a shard version with the router revision it belongs to.
-// On a durable router the sequencer record is appended — and in strict mode
-// fsynced — before the revision advances, so the on-disk sequencer log is
-// always a prefix of the revision stream. The target shards already applied
-// (and shard-logged) the mutation, so a sequencer failure cannot be rolled
+// On a durable router the entry's WAL record is appended — and fsynced in
+// strict mode or under WithSyncAck — before the revision advances, so the
+// on-disk log is always a prefix of the revision stream. The target shards
+// already applied the mutation in memory, so a log failure cannot be rolled
 // back: the entry still commits in memory and the error latches, refusing
-// every later mutation; recovery after the inevitable restart cuts before
-// the unsequenced mutation on every shard at once.
+// every later mutation; recovery after the inevitable restart ends before
+// the unlogged mutation.
 func (s *ShardedDB) commit(stamp func() changeEntry, targets ...*shardUnit) uint64 {
 	s.seqMu.Lock()
 	e := stamp()
 	rev := s.rev.Load() + 1
-	if d := s.dur; d != nil && d.err == nil && !d.closed {
-		if err := d.seq.Append(entryRecord(e, rev)); err != nil {
-			d.err = fmt.Errorf("connquery: durable: sequencer: %w", err)
+	if d := s.dur; d != nil && d.writable() == nil {
+		if err := d.w.Append(entryRecord(e, rev)); err != nil {
+			d.err = fmt.Errorf("connquery: durable: %w", err)
 		} else {
 			d.since++
+			if s.cfg.syncAck {
+				d.syncLocked() //nolint:errcheck // latched in d.err
+			}
 		}
 	}
 	s.log = append(s.log, e)

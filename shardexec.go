@@ -378,7 +378,7 @@ func (s *ShardedDB) buildMirror(m *unionMirror) error {
 			obs = append(obs, o)
 		}
 	}
-	db, err := openSubWorld(pts, obs, s.dummy, s.opts)
+	db, err := openSubWorld(pts, obs, nil, nil, s.dummy, s.cfg)
 	if err != nil {
 		return err
 	}

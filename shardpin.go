@@ -197,7 +197,7 @@ func (sp *ShardedSnapshot) buildUnion(span cellSpan) (*pinnedUnion, error) {
 	for i, gid := range ogids {
 		obstacles[i] = obsByGid[gid]
 	}
-	db, err := openSubWorld(points, obstacles, s.dummy, s.opts)
+	db, err := openSubWorld(points, obstacles, nil, nil, s.dummy, s.cfg)
 	if err != nil {
 		return nil, err
 	}
