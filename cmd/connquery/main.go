@@ -57,7 +57,11 @@ func main() {
 		}
 		w = bench.Workload{Name: "CSV", Points: dataset.FilterPoints(pts, obs), Obstacles: obs}
 	} else {
-		w = bench.BuildWorkload(strings.ToUpper(*workload), *scale, *ratio, *seed)
+		name := strings.ToUpper(*workload)
+		if err := bench.CheckWorkload(name); err != nil {
+			log.Fatal(err)
+		}
+		w = bench.BuildWorkload(name, *scale, *ratio, *seed)
 	}
 	fmt.Printf("workload %s: %d points, %d obstacles\n", w.Name, len(w.Points), len(w.Obstacles))
 

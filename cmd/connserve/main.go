@@ -256,7 +256,11 @@ func resolveDataset(load, pointsCSV, obstaclesCSV, workload string, scale, ratio
 		}
 		return dataset.FilterPoints(pts, obs), obs, fmt.Sprintf("csv %s + %s", pointsCSV, obstaclesCSV), nil
 	default:
-		w := bench.BuildWorkload(strings.ToUpper(workload), scale, ratio, seed)
+		name := strings.ToUpper(workload)
+		if err := bench.CheckWorkload(name); err != nil {
+			return nil, nil, "", err
+		}
+		w := bench.BuildWorkload(name, scale, ratio, seed)
 		return w.Points, w.Obstacles, fmt.Sprintf("workload %s scale %g", w.Name, scale), nil
 	}
 }

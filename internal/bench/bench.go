@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"connquery/internal/core"
 	"connquery/internal/dataset"
@@ -28,6 +30,19 @@ type Workload struct {
 	Name      string // "CL", "UL" or "ZL"
 	Points    []geom.Point
 	Obstacles []geom.Rect
+}
+
+// WorkloadNames lists the dataset combinations BuildWorkload builds.
+var WorkloadNames = []string{"CL", "UL", "ZL"}
+
+// CheckWorkload reports an error naming the valid combinations when name is
+// not one of WorkloadNames; BuildWorkload panics on such a name, so
+// command-line callers check first.
+func CheckWorkload(name string) error {
+	if slices.Contains(WorkloadNames, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown workload %q (want one of %s)", name, strings.Join(WorkloadNames, ", "))
 }
 
 // BuildWorkload constructs one of the paper's dataset combinations at the

@@ -108,3 +108,14 @@ func TestFigureWritersEmitTables(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckWorkload(t *testing.T) {
+	for _, name := range WorkloadNames {
+		if err := CheckWorkload(name); err != nil {
+			t.Fatalf("CheckWorkload(%q) = %v", name, err)
+		}
+	}
+	if err := CheckWorkload("XX"); err == nil || !strings.Contains(err.Error(), "CL, UL, ZL") {
+		t.Fatalf("CheckWorkload(XX) = %v, want an error listing CL, UL, ZL", err)
+	}
+}

@@ -19,15 +19,14 @@ func kernelEngine(sc scene, opts Options) *Engine {
 // The intra-query parallel path (Options.Workers > 1) must be bit-identical
 // to the sequential path: same payload (DeepEqual over the float spans and
 // distances is exact equality) and same NPE/NOE/|SVG| metrics. Scenes are
-// drawn across both kernel regimes — small sets served by the corner-pair
-// table (which skips the parallel corner link) and large sets where the
-// parallel link and the occlusion index run.
+// drawn at two sizes — small sets and large ones past 150 obstacles — and
+// both run the parallel corner link and the occlusion index.
 func TestParallelCONNBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(601))
 	for trial := 0; trial < 25; trial++ {
 		nObs := 5 + r.Intn(40)
 		if trial%3 == 0 {
-			nObs = 155 + r.Intn(60) // past the corner-table gate
+			nObs = 155 + r.Intn(60) // large set
 		}
 		sc := randScene(r, 3+r.Intn(6), nObs, 100)
 		seqRes, seqM := kernelEngine(sc, Options{}).CONN(sc.q)

@@ -1,10 +1,6 @@
 package flatgeom
 
-import (
-	"sync"
-
-	"connquery/internal/geom"
-)
+import "connquery/internal/geom"
 
 // rebuildTail caps the linear overflow tail of a Kernel: obstacle
 // insertions extend a kernel by sharing the parent version's BVH and
@@ -23,12 +19,6 @@ type Kernel struct {
 	bvh  *BVH
 	all  []geom.Rect // full ID-indexed obstacle slice, aliased not copied
 	base int         // obstacles [0, base) are in the BVH; [base, len) are the tail
-
-	// corners is the lazily built corner-pair certificate table (see
-	// corners.go); Extend starts a fresh table because the pair lists must
-	// cover the appended tail.
-	cornersOnce sync.Once
-	corners     *CornerTable
 }
 
 // NewKernel builds a kernel over the full obstacle slice. The slice is

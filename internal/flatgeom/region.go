@@ -2,17 +2,71 @@ package flatgeom
 
 import "connquery/internal/geom"
 
-// This file is the region-scoped extension of the corner-pair certificate
-// table (corners.go): a table covering only the corners of the obstacles
-// intersecting one build region, so large worlds — whose full quadratic
-// table is gated off by cornerTableMaxCorners — can still share precomputed
-// sight-line verdicts across the concurrent queries of a spatial hot spot.
-// Each covered pair's blocker list is computed over the FULL obstacle set
+// This file is the region-scoped corner-pair certificate table: a table
+// covering only the corners of the obstacles intersecting one build region,
+// so the concurrent queries of a spatial hot spot can share precomputed
+// sight-line verdicts instead of each deciding them through the BVH. Each
+// covered pair's blocker list is computed over the FULL obstacle set
 // (Kernel.AppendBlockers searches the whole BVH plus the linear tail), so
 // subset verdicts stay exact no matter where a query's retrieval wanders;
 // the region only chooses WHICH pairs are tabulated, never weakens a
 // verdict. Pairs outside the covered set report "uncovered" through
 // CornerTable.PairVerdict and fall back to the caller's exact geometry.
+
+// CornerTable is a region-scoped corner-pair certificate table of one kernel
+// version (see Kernel.RegionTable): for every ordered pair (i, j) of covered
+// obstacle corners it stores the IDs of every obstacle in the kernel that
+// blocks the sight line corner(i) -> corner(j), computed over the FULL
+// obstacle set with geom.BlocksSegLen. Corner g of obstacle id has kernel
+// corner index 4*id + g, matching geom.Rect.Vertices order.
+//
+// Because blocking is monotone in the obstacle set (the AppendBlockers
+// contract), the visibility verdict for any loaded subset is "some listed
+// ID is loaded" — a handful of membership tests against the query's Marks,
+// with no geometry at all. The lists are directed: cell (i, j) is built
+// from the segment corner(i) -> corner(j) with exactly the arguments the
+// sequential BlocksSegLen scan would use in that direction, so subset
+// verdicts are bit-identical to the scan they replace, including any
+// ulp-level direction asymmetry of the underlying predicate.
+type CornerTable struct {
+	n       int
+	offsets []int32 // n*n+1 prefix offsets into ids; cell (i,j) = i*n+j
+	ids     []int32 // concatenated full-set blocker lists
+	// local maps a kernel corner index to its row in the table, -1 for
+	// corners outside the covered set.
+	local []int32
+}
+
+// row maps a kernel corner index to its table row, -1 when the table does
+// not cover it.
+func (t *CornerTable) row(g int32) int32 {
+	if int(g) >= len(t.local) {
+		return -1
+	}
+	return t.local[g]
+}
+
+// Covers reports whether the table has rows for corner g's pairs.
+func (t *CornerTable) Covers(g int32) bool { return t.row(g) >= 0 }
+
+// PairVerdict reports whether the table covers the ordered corner pair
+// (gi, gj) (ok), and for a covered pair whether any obstacle in m blocks it:
+// bit-identical to testing geom.BlocksSegLen for every obstacle in m against
+// the directed segment corner(gi) -> corner(gj). Uncovered pairs must be
+// decided by the caller's exact geometric path.
+func (t *CornerTable) PairVerdict(m *Marks, gi, gj int32) (blocked, ok bool) {
+	li, lj := t.row(gi), t.row(gj)
+	if li < 0 || lj < 0 {
+		return false, false
+	}
+	c := int(li)*t.n + int(lj)
+	for _, id := range t.ids[t.offsets[c]:t.offsets[c+1]] {
+		if m.Has(id) {
+			return true, true
+		}
+	}
+	return false, true
+}
 
 // Bounds returns the bounding box of the kernel's whole obstacle set (BVH
 // root box united with the linear tail), or an inverted empty rectangle for
@@ -81,13 +135,12 @@ func (b *BVH) AppendIntersectingIDs(dst []int32, w geom.Rect) []int32 {
 }
 
 // RegionTable builds a corner-pair certificate table covering the corners of
-// every obstacle intersecting region, with full-set blocker lists (the same
-// AppendBlockers calls buildCornerTable makes, so covered verdicts are
-// bit-identical to the full table's). It returns nil when the region covers
-// no obstacle or contributes more than maxCorners corners — the quadratic
-// build would then cost more than it amortizes. The returned table is
-// immutable and safe for concurrent use, like the kernel itself; it must
-// only be consulted with Marks sized for this kernel's ID space.
+// every obstacle intersecting region, with full-set blocker lists. It
+// returns nil when the region covers no obstacle or contributes more than
+// maxCorners corners — the quadratic build would then cost more than it
+// amortizes. The returned table is immutable and safe for concurrent use,
+// like the kernel itself; it must only be consulted with Marks sized for
+// this kernel's ID space.
 func (k *Kernel) RegionTable(region geom.Rect, maxCorners int) *CornerTable {
 	idsIn := k.AppendIntersectingIDs(nil, region)
 	n := 4 * len(idsIn)

@@ -34,7 +34,7 @@ type edgeTo struct {
 	// edge; w doubles as the exact segment length for the blocking test.
 	vx, vy float64
 	// gto inlines the target node's kernel corner index (gidx[to], -1 for
-	// non-corner targets) so batch invalidation can consult the kernel's
+	// non-corner targets) so batch invalidation can consult a shared
 	// corner-pair table without a gather.
 	gto int32
 }
@@ -46,7 +46,7 @@ type Graph struct {
 	alive []bool
 	// gidx[u] is node u's kernel corner index (4*obstacleID + vertex, per
 	// geom.Rect.Vertices order) when u is a corner loaded through a kernel,
-	// else -1. It keys the kernel's precomputed corner-pair table.
+	// else -1. It keys the shared corner-pair table (see SetShared).
 	gidx []int32
 	adj  [][]edgeTo
 	// adjBox[u] is a conservative bounding box of u and every neighbor it has
@@ -67,9 +67,8 @@ type Graph struct {
 	marks flatgeom.Marks
 	// shared, when non-nil, is a region-scoped corner-pair certificate table
 	// built over kern by the execution planner and shared read-only across
-	// concurrent queries (see SetShared). Consulted only when the kernel's
-	// own full table is absent; pairs it does not cover fall back to the
-	// exact kernel test, so verdicts never change — only their cost.
+	// concurrent queries (see SetShared). Pairs it does not cover fall back
+	// to the exact kernel test, so verdicts never change — only their cost.
 	shared  *flatgeom.CornerTable
 	version int
 	// mutations counts every structural change (nodes, edges, obstacles,
@@ -120,22 +119,9 @@ func (g *Graph) SetKernel(k *flatgeom.Kernel) {
 // SetShared attaches a region-scoped corner-pair table built over the
 // attached kernel (same version, same obstacle ID space). Call after
 // SetKernel; Reset detaches it. The table is read-only and may be shared by
-// any number of concurrent graphs. When the kernel has its own full table
-// the shared one is ignored (the full table already answers every pair).
+// any number of concurrent graphs. Without one, every sight line is decided
+// by the occlusion index and the kernel's BVH.
 func (g *Graph) SetShared(t *flatgeom.CornerTable) { g.shared = t }
-
-// cornerTable resolves the table serving corner-pair sight-line verdicts:
-// the kernel's full table when the scene is small enough for one, else the
-// planner-shared region table, else nil.
-func (g *Graph) cornerTable() *flatgeom.CornerTable {
-	if g.kern == nil {
-		return nil
-	}
-	if t := g.kern.Corners(); t != nil {
-		return t
-	}
-	return g.shared
-}
 
 // Reset empties the graph for reuse, retaining node, adjacency and search
 // buffer capacity so a pooled graph answers subsequent queries with few
@@ -250,8 +236,8 @@ func (g *Graph) AddPoint(p geom.Point, kind NodeKind) NodeID {
 }
 
 // addPoint is AddPoint with the node's kernel corner index (-1 for
-// non-corner nodes). Corner insertions on a table-backed kernel skip the
-// occlusion index entirely: each corner-corner candidate is decided by a
+// non-corner nodes). Corner insertions covered by a shared region table skip
+// the occlusion index entirely: each corner-corner candidate is decided by a
 // few Marks membership tests against the precomputed full-set blocker list
 // for exactly the directed segment (p -> candidate) the occlusion path
 // would test, so the edge set — and its append order — is identical.
@@ -260,10 +246,10 @@ func (g *Graph) addPoint(p geom.Point, kind NodeKind, gi int32) NodeID {
 	g.mutations++
 	var tbl *flatgeom.CornerTable
 	if gi >= 0 {
-		// A table that does not cover this corner at all (a region-scoped
-		// shared table, with the corner outside the build region) answers no
-		// pair, so take the occlusion path as if no table existed.
-		if tbl = g.cornerTable(); tbl != nil && !tbl.Covers(gi) {
+		// A table that does not cover this corner at all (the corner lies
+		// outside the build region) answers no pair, so take the occlusion
+		// path as if no table existed.
+		if tbl = g.shared; tbl != nil && !tbl.Covers(gi) {
 			tbl = nil
 		}
 	}
@@ -290,8 +276,8 @@ func (g *Graph) addPoint(p geom.Point, kind NodeKind, gi int32) NodeID {
 				}
 			} else {
 				// Anchor/transient candidates (a handful per corner) and
-				// corner pairs a region-scoped table leaves uncovered take the
-				// exact kernel test, which matches the occlusion-path verdict.
+				// corner pairs the table leaves uncovered take the exact
+				// kernel test, which matches the occlusion-path verdict.
 				segLen = geom.SegLen(dx, dy, d2)
 				if g.kern.Blocked(&g.marks, p.X, p.Y, q.X, q.Y, segLen) {
 					continue
@@ -315,8 +301,8 @@ func (g *Graph) addPoint(p geom.Point, kind NodeKind, gi int32) NodeID {
 }
 
 // pairBlocked consults tbl for the directed corner pair (gi, gj): ok is
-// false when gj is not a corner or a region-scoped table leaves the pair
-// uncovered, and the caller must decide the pair geometrically.
+// false when gj is not a corner or the table leaves the pair uncovered, and
+// the caller must decide the pair geometrically.
 func (g *Graph) pairBlocked(tbl *flatgeom.CornerTable, gi, gj int32) (blocked, ok bool) {
 	if gj < 0 {
 		return false, false
@@ -398,16 +384,16 @@ func (g *Graph) AddObstacleIDs(ids []int32) {
 	// 1. Invalidate blocked edges, all before any corner is linked. An edge
 	// dies iff some batch rectangle blocks it — the union of per-rectangle
 	// removals no matter the order, with survivor order preserved by
-	// in-place compaction either way. With a corner-pair table, one pass
-	// over the adjacency lists decides each corner-corner edge by
-	// membership of its precomputed blocker list in the batch —
+	// in-place compaction either way. With a shared corner-pair table, one
+	// pass over the adjacency lists decides each covered corner-corner edge
+	// by membership of its precomputed blocker list in the batch —
 	// bit-identical to testing every batch rectangle geometrically, since
-	// the lists were built with exactly those BlocksSegLen calls. Without a
-	// table, one gated geometric pass per rectangle: the per-rectangle
-	// adjacency-box gate skips most nodes outright, which a batch-union box
-	// would be too large to do. A region-scoped shared table serves the same
-	// pass; pairs it leaves uncovered are decided geometrically in place.
-	if tbl := g.cornerTable(); tbl != nil {
+	// the lists were built with exactly those BlocksSegLen calls — and
+	// decides uncovered pairs geometrically in place. Without a table, one
+	// gated geometric pass per rectangle: the per-rectangle adjacency-box
+	// gate skips most nodes outright, which a batch-union box would be too
+	// large to do.
+	if tbl := g.shared; tbl != nil {
 		g.batchMarks.Reset(g.kern.NumObstacles())
 		for _, id := range ids {
 			g.batchMarks.Set(id)
@@ -435,10 +421,10 @@ func (g *Graph) AddObstacleIDs(ids []int32) {
 		g.version++
 	}
 	// 3. Link the corners in batch order. With a worker pool attached (and
-	// no corner table, which already answers per pair in a few loads), the
+	// no shared table, which already answers per pair in a few loads), the
 	// sight-line verdicts for the whole batch are computed concurrently and
 	// applied serially — bit-identical to this loop (see parallel.go).
-	if g.par != nil && g.cornerTable() == nil && len(rects) > 1 {
+	if g.par != nil && g.shared == nil && len(rects) > 1 {
 		g.linkCornersParallel(ids, rects)
 		return
 	}
@@ -522,14 +508,14 @@ func (g *Graph) invalidateEdges(r geom.Rect) {
 
 // invalidateEdgesBatch removes every edge blocked by some rectangle of the
 // current batch (held in g.batchMarks), in one pass over the adjacency
-// lists. Corner-corner edges are decided by the table: edge (u, v) is
+// lists. Covered corner-corner edges are decided by the table: edge (u, v) is
 // blocked by batch rectangle r exactly when r's ID is on the precomputed
 // full-set blocker list for the directed segment u -> v — the list entry
 // was produced by the very BlocksSegLen(r, pu, pv, w) call the geometric
 // pass would make, with w equal to the stored weight (SegLen is sign-
 // insensitive in its deltas), so the kill set is bit-identical. Edges with
-// a non-corner endpoint — and corner pairs a region-scoped shared table
-// leaves uncovered — fall back to the geometric per-rectangle test. The
+// a non-corner endpoint — and corner pairs the table leaves uncovered —
+// fall back to the geometric per-rectangle test. The
 // union-box screens are conservative exactly as in invalidateEdges: a
 // segment on one side of the union box's slab is on that side of every
 // batch rectangle's slab.
@@ -554,7 +540,7 @@ func (g *Graph) invalidateEdgesBatch(tbl *flatgeom.CornerTable, rects []geom.Rec
 				(pu.Y <= ub.MinY && e.vy <= ub.MinY) || (pu.Y >= ub.MaxY && e.vy >= ub.MaxY) {
 				// Edge cannot enter any batch rectangle's open interior.
 				decided = true
-			} else if tbl != nil && gu >= 0 && e.gto >= 0 {
+			} else if gu >= 0 && e.gto >= 0 {
 				dead, decided = tbl.PairVerdict(&g.batchMarks, gu, e.gto)
 			}
 			if !decided {

@@ -25,9 +25,9 @@ const (
 	// epoch churn under mutation constantly retires keys, so this is a
 	// memory cap, not a tuning knob.
 	plannerMaxGroups = 256
-	// plannerMaxCorners caps a shared region table's corner count, matching
-	// the kernel's own full-table gate: beyond it the quadratic build costs
-	// more than a storm amortizes.
+	// plannerMaxCorners caps a shared region table's corner count (150
+	// obstacles): beyond it the quadratic build costs more than a storm
+	// amortizes.
 	plannerMaxCorners = 600
 	// plannerGridDiv and plannerMaxDiv clamp the quantization grid relative
 	// to the world's obstacle bounding box: cells are at least world/32 (so
@@ -85,17 +85,16 @@ func addPlannerStats(agg *PlannerStats, st PlannerStats) {
 }
 
 // admitPlanner consults the planner for req at version v and returns the
-// group ticket, or nil when the planner is off or cannot apply: worlds
-// small enough for the kernel's full corner table already share every
-// sight-line certificate globally, so the planner only engages where that
-// table is gated off.
+// group ticket, or nil when the planner is off or cannot apply (no kernel,
+// or an obstacle-free world with no extent to quantize). It admits on every
+// world size.
 func (db *DB) admitPlanner(req Request, v *version) *planner.Ticket {
 	p := db.planner
 	if p == nil {
 		return nil
 	}
 	k := v.eng.Kernel
-	if k == nil || k.Corners() != nil {
+	if k == nil {
 		return nil
 	}
 	w := k.Bounds()

@@ -9,10 +9,10 @@ package connquery
 // shared region-scoped sight-line certificate table changes only how
 // visibility verdicts are obtained, never what any query computes.
 //
-// The world is dense enough (>150 obstacles) that the kernel's full
-// corner-pair table is gated off — the only regime where the planner
-// engages — and the storm concentrates its requests in a hot sub-square so
-// quantized group keys actually collide. Answer caches are disabled on both
+// The world is dense (196 obstacles), so a shared region table covers only
+// part of it and uncovered pairs fall back to the geometric path, and the
+// storm concentrates its requests in a hot sub-square so quantized group
+// keys actually collide. Answer caches are disabled on both
 // handles: every exec is a real execution, so the planner is exercised
 // maximally and pinned-epoch metrics comparisons never depend on
 // cross-reader cache state (promoted entries replay the populating
@@ -30,8 +30,8 @@ import (
 	"time"
 )
 
-// plannerWorld is a 14x14 grid of small obstacles (196, comfortably past the
-// kernel's 150-obstacle full-table gate) with data points in the gaps.
+// plannerWorld is a 14x14 grid of small obstacles (196, past the 150 a
+// region table may cover) with data points in the gaps.
 func plannerWorld() ([]Point, []Rect) {
 	var pts []Point
 	var obs []Rect
@@ -50,8 +50,8 @@ func plannerWorld() ([]Point, []Rect) {
 // plannerHot is the storm's hot sub-square: small relative to the world so
 // concurrent requests land on the same quantized planner cells, and
 // straddling the world center so the sharded configuration's queries cross
-// cell borders into union mirrors (whose merged obstacle sets are past the
-// full-table gate — the only sharded tier where the planner can engage).
+// cell borders into union mirrors, whose planners see the merged obstacle
+// sets.
 var plannerHot = hotBox{lo: 42, side: 12}
 
 // newPlannerTwins opens the planner-enabled handle under test and its
